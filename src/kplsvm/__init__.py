@@ -3,9 +3,11 @@
 The loss family is ``L(u) = max(u, -tau_1 u + eps_1, ..., -tau_{k-1} u
 + eps_{k-1})``; the hinge (all parameters zero) and the pinball
 (``eps = 0``) are its smallest members.  Training solves the dual QP of
-the regularized risk with a dense interior-point method, recovers the
-bias from the optimality conditions, and certifies the result via KKT
-residuals and the duality gap.  ``modelsel`` adds the staged grid
+the regularized risk with an interior-point method that works on the
+dual's block structure (l x l factorizations per Newton step), polishes
+the result with an active-set crossover, recovers the bias from the
+optimality conditions, and certifies the result via KKT residuals and
+the duality gap.  ``modelsel`` adds the staged grid
 search and the benchmark harness; ``cli`` exposes everything as the
 ``kplsvm`` command.
 """

@@ -216,7 +216,7 @@ def check_properties(spec: LossSpec) -> LossPropertyReport:
         if t != 0.0 and e == t:
             algebraic_ok = False
             break
-    _, right_deriv = _one_sided_derivatives(spec, 1.0)
+    _, right_deriv = eval_subgradient(spec, 1.0)
     derivative_ok = algebraic_ok and right_deriv > 0.0
 
     nonneg_ok = True
@@ -245,13 +245,3 @@ def check_properties(spec: LossSpec) -> LossPropertyReport:
         influence_upper=float(slopes.max()),
         nonnegativity_pieces_skipped=skipped,
     )
-
-
-def _one_sided_derivatives(spec: LossSpec, u: float) -> tuple[float, float]:
-    """(left, right) derivative of the loss at ``u`` from active slopes."""
-    a = _slopes(spec)
-    b = _intercepts(spec)
-    vals = a * u + b
-    top = vals.max()
-    active = vals >= top - 1e-12 * (1.0 + abs(top))
-    return float(a[active].min()), float(a[active].max())

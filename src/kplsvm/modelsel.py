@@ -13,7 +13,7 @@ import csv
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,20 +156,30 @@ class _Scorer:
                 kspec.kind, kspec.q, kspec.rbf_form)
 
     def score(self, spec, c0, kspec):
-        """(accuracy | None, error | None, seconds) for one config."""
+        """(accuracy | None, error | None, seconds) for one config.
+
+        The first caller of a key trains it; a later or concurrent
+        caller waits for that result and reports 0.0 seconds.
+        """
         k = self.key(spec, c0, kspec)
         with self._lock:
-            hit = self._cache.get(k)
-        if hit is not None:
-            return hit[0], hit[1], 0.0
+            result = self._cache.get(k)
+            owner = result is None
+            if owner:
+                result = self._cache[k] = Future()
+        if not owner:
+            acc, err = result.result()
+            return acc, err, 0.0
         t0 = time.perf_counter()
         try:
             acc, err = self._score_uncached(spec, c0, kspec), None
         except KplsvmError as exc:
             acc, err = None, f"{type(exc).__name__}: {exc}"
+        except BaseException as exc:
+            result.set_exception(exc)
+            raise
         dt = time.perf_counter() - t0
-        with self._lock:
-            self._cache[k] = (acc, err)
+        result.set_result((acc, err))
         return acc, err, dt
 
     def _score_uncached(self, spec, c0, kspec):

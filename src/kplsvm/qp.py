@@ -1,30 +1,28 @@
 """Convex QP solver for the piecewise-linear SVM dual.
 
-Problems have the form
+For l samples and a k-piece loss the dual is
 
     minimize    0.5 z'Qz + c'z
     subject to  Az = b,  z >= 0
 
-solved with a primal-dual interior-point method using Mehrotra's
-predictor-corrector steps.  The SVM dual is assembled in structured
-form: for l samples and a k-piece loss, z stacks k blocks of length l
-(one multiplier block per piece), Q = D'HD with D = [I, -tau_1*I, ...]
-and H_ij = y_i y_j k(x_i, x_j), and the equalities are one global
-balance row y'Dz = 0 plus l per-sample simplex rows (block sums equal
-the per-sample cap C_i).
+where z stacks k blocks of length l (one multiplier block per piece),
+Q = D'(H + delta*I)D + reg*I with D = [I, -tau_1*I, ...],
+H_ij = y_i y_j k(x_i, x_j) and delta the jitter of ``gram_factor``, and
+the equalities are one global balance row y'Dz = 0 plus l per-sample
+simplex rows (block sums equal the per-sample cap C_i).
 
-For structured problems the Newton system is solved by block
-elimination (Q = cc' (x) H plus a positive diagonal), which costs one
-l x l factorization per iteration instead of one (k*l + l + 1) one.
-The generic dense-KKT route remains for arbitrary problems and as a
-cross-check.  A projected-gradient method over the per-sample
-simplexes (matrix-free, quadratic penalty on the balance row) serves
-as a fallback when the interior-point iteration breaks down.
+``solve`` runs a primal-dual interior-point method with Mehrotra's
+predictor-corrector steps.  Its Newton system is solved by block
+elimination (Q = cc' (x) H plus a positive diagonal), which costs two
+Cholesky factorizations of order l and l + 1 per iteration instead of
+one of order k*l + l + 1.
+An active-set crossover then polishes the last iterate onto an exact
+face and is kept when it lowers the residuals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -35,7 +33,6 @@ from .loss import LossSpec
 __all__ = [
     "QpProblem",
     "QpSolution",
-    "QpStructure",
     "assemble_dual",
     "gram_factor",
     "solve",
@@ -43,15 +40,18 @@ __all__ = [
 
 
 @dataclass
-class QpStructure:
-    """Structured view of an SVM dual (see module docstring)."""
+class QpProblem:
+    """The structured SVM dual (see module docstring)."""
 
     H: np.ndarray                  # l x l, symmetric PSD
     y: np.ndarray                  # l, +-1
     C: np.ndarray                  # l, positive caps
     block_coeffs: np.ndarray       # k, (1, -tau_1, ..., -tau_{k-1})
-    chol_L: np.ndarray | None = None  # Cholesky factor of H + delta*I
-    chol_delta: float = 0.0
+    c: np.ndarray                  # k*l, linear cost
+    b: np.ndarray                  # l+1, (0, C)
+    reg: float                     # diagonal regularization of Q
+    chol_L: np.ndarray             # Cholesky factor of H + chol_delta*I
+    chol_delta: float
 
     @property
     def l(self) -> int:
@@ -61,42 +61,6 @@ class QpStructure:
     def k(self) -> int:
         return self.block_coeffs.size
 
-    def combined(self, z: np.ndarray) -> np.ndarray:
-        """s = Dz, the per-sample combined coefficients."""
-        Z = z.reshape(self.k, self.l)
-        return self.block_coeffs @ Z
-
-
-@dataclass
-class QpProblem:
-    """Equality-constrained nonnegative QP.
-
-    Exactly one of (``Q_mat``/``A_mat``) or ``structure`` backs the
-    problem; dense views are materialized on demand either way.
-    """
-
-    c: np.ndarray
-    b: np.ndarray
-    Q_mat: np.ndarray | None = None
-    A_mat: np.ndarray | None = None
-    structure: QpStructure | None = None
-    reg: float = 0.0
-    _dense_cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        if self.structure is None:
-            if self.Q_mat is None or self.A_mat is None:
-                raise ValueError("generic problems need both Q and A")
-            self.Q_mat = np.asarray(self.Q_mat, dtype=float)
-            self.A_mat = np.asarray(self.A_mat, dtype=float)
-            sym_gap = np.abs(self.Q_mat - self.Q_mat.T).max()
-            if sym_gap > 1e-10 * (1.0 + np.abs(self.Q_mat).max()):
-                raise ValueError("Q must be symmetric")
-            if self.A_mat.shape != (self.b.size, self.c.size):
-                raise ValueError("A shape inconsistent with b and c")
-
     @property
     def n(self) -> int:
         return self.c.size
@@ -105,71 +69,32 @@ class QpProblem:
     def m_eq(self) -> int:
         return self.b.size
 
-    def Q_dense(self) -> np.ndarray:
-        if self.Q_mat is not None:
-            return self.Q_mat
-        if "Q" not in self._dense_cache:
-            st = self.structure
-            D = np.kron(st.block_coeffs[:, None], np.eye(st.l))  # (kl, l)
-            H_eff = st.H
-            if st.chol_delta:
-                H_eff = H_eff + st.chol_delta * np.eye(st.l)
-            Q = D @ H_eff @ D.T
-            Q[np.diag_indices_from(Q)] += self.reg
-            self._dense_cache["Q"] = Q
-        return self._dense_cache["Q"]
-
-    def A_dense(self) -> np.ndarray:
-        if self.A_mat is not None:
-            return self.A_mat
-        if "A" not in self._dense_cache:
-            st = self.structure
-            A = np.zeros((st.l + 1, st.k * st.l))
-            for bidx, coef in enumerate(st.block_coeffs):
-                cols = slice(bidx * st.l, (bidx + 1) * st.l)
-                A[0, cols] = coef * st.y
-                A[1:, cols] = np.eye(st.l)
-            self._dense_cache["A"] = A
-        return self._dense_cache["A"]
+    def combined(self, z: np.ndarray) -> np.ndarray:
+        """s = Dz, the per-sample combined coefficients."""
+        Z = z.reshape(self.k, self.l)
+        return self.block_coeffs @ Z
 
     def q_mul(self, z: np.ndarray) -> np.ndarray:
-        """Q @ z without materializing Q for structured problems."""
-        if self.structure is None:
-            return self.Q_mat @ z
-        st = self.structure
-        s = st.combined(z)
-        Hs = st.H @ s
-        if st.chol_delta:
-            Hs = Hs + st.chol_delta * s
-        out = np.multiply.outer(st.block_coeffs, Hs).ravel()
+        """Q @ z without materializing Q."""
+        s = self.combined(z)
+        Hs = self.H @ s
+        if self.chol_delta:
+            Hs = Hs + self.chol_delta * s
+        out = np.multiply.outer(self.block_coeffs, Hs).ravel()
         if self.reg:
             out += self.reg * z
         return out
 
     def a_mul(self, z: np.ndarray) -> np.ndarray:
-        if self.structure is None:
-            return self.A_mat @ z
-        st = self.structure
-        Z = z.reshape(st.k, st.l)
-        return np.concatenate(([st.y @ st.combined(z)], Z.sum(axis=0)))
+        Z = z.reshape(self.k, self.l)
+        return np.concatenate(([self.y @ self.combined(z)], Z.sum(axis=0)))
 
     def at_mul(self, w: np.ndarray) -> np.ndarray:
-        if self.structure is None:
-            return self.A_mat.T @ w
-        st = self.structure
-        base = st.y * w[0]
-        return (np.multiply.outer(st.block_coeffs, base) + w[1:]).ravel()
-
-    def objective(self, z: np.ndarray) -> float:
-        return float(0.5 * z @ self.q_mul(z) + self.c @ z)
+        base = self.y * w[0]
+        return (np.multiply.outer(self.block_coeffs, base) + w[1:]).ravel()
 
     def feasible_start(self) -> np.ndarray:
-        if self.structure is not None:
-            st = self.structure
-            return np.tile(st.C / st.k, st.k)
-        z, *_ = np.linalg.lstsq(self.A_mat, self.b, rcond=None)
-        floor = 1e-2 * (1.0 + np.abs(z).max())
-        return np.maximum(z, floor)
+        return np.tile(self.C / self.k, self.k)
 
 
 @dataclass
@@ -178,16 +103,16 @@ class QpSolution:
     objective: float
     kkt_residuals: dict[str, float]
     iterations: int
-    status: str                     # optimal | max_iter | numerical_failure
-    nu: np.ndarray | None = None    # equality multipliers
-    mu: np.ndarray | None = None    # bound multipliers
+    status: str     # optimal | stalled | max_iter | numerical_failure
+    nu: np.ndarray                  # equality multipliers
+    mu: np.ndarray                  # bound multipliers
 
 
 def gram_factor(H: np.ndarray) -> tuple[np.ndarray, float]:
     """Cholesky factor of H + delta*I with the smallest workable jitter.
 
-    Shared across many assemblies of the same Gram matrix; the jitter
-    only perturbs the Newton direction, never the reported residuals.
+    The jitter only perturbs the Newton direction, never the reported
+    residuals.
     """
     l = H.shape[0]
     scale = max(np.trace(H) / l, 1e-8)
@@ -206,7 +131,6 @@ def assemble_dual(
     y: np.ndarray,
     C: np.ndarray,
     spec: LossSpec,
-    chol: tuple[np.ndarray, float] | None = None,
     feas_tol: float = 1e-9,
 ) -> QpProblem:
     """Build the structured dual QP for one training configuration.
@@ -246,42 +170,26 @@ def assemble_dual(
         c[m * l:(m + 1) * l] = spec.taus[m - 1] - spec.epsilons[m - 1]
     b = np.concatenate(([0.0], C))
     reg = 1e-10 * np.trace(H) / l
-    structure = QpStructure(H=H, y=y, C=C, block_coeffs=coeffs)
     # The Gram factor is computed eagerly so every view of the problem
     # (objective, residuals, Newton system) consistently uses the same
     # jittered H; a lazily appearing jitter would bias Newton directions
     # against the residuals being measured.
-    structure.chol_L, structure.chol_delta = \
-        chol if chol is not None else gram_factor(H)
-    return QpProblem(c=c, b=b, structure=structure, reg=reg)
+    chol_L, chol_delta = gram_factor(H)
+    return QpProblem(H=H, y=y, C=C, block_coeffs=coeffs, c=c, b=b, reg=reg,
+                     chol_L=chol_L, chol_delta=chol_delta)
 
 
 # ---------------------------------------------------------------------------
 # interior-point method
 
 
-def solve(problem: QpProblem, tol: float = 1e-8, max_iter: int = 200,
-          method: str = "auto") -> QpSolution:
-    """Solve the QP to the requested scaled KKT tolerance.
-
-    ``method`` is "auto" (interior point, projected-gradient rescue on
-    numerical failure for structured problems), "ipm", or
-    "projected-gradient" (structured problems only).
-    """
-    if method == "projected-gradient":
-        return _projected_gradient(problem, tol=tol)
+def solve(problem: QpProblem, tol: float = 1e-8,
+          max_iter: int = 200) -> QpSolution:
+    """Solve the QP to the requested scaled KKT tolerance."""
     sol = _interior_point(problem, tol=tol, max_iter=max_iter)
     polished = _crossover(problem, sol, tol)
     if polished is not None and _max_residual(polished) < _max_residual(sol):
         sol = polished
-    if (
-        method == "auto"
-        and sol.status == "numerical_failure"
-        and problem.structure is not None
-    ):
-        rescue = _projected_gradient(problem, tol=max(tol, 1e-7))
-        if _max_residual(rescue) < _max_residual(sol):
-            return rescue
     return sol
 
 
@@ -297,7 +205,7 @@ def _interior_point(problem: QpProblem, tol: float, max_iter: int) -> QpSolution
     nu = np.zeros(m)
 
     c_scale = 1.0 + np.abs(problem.c).max()
-    b_scale = 1.0 + (np.abs(problem.b).max() if m else 0.0)
+    b_scale = 1.0 + np.abs(problem.b).max()
 
     best: QpSolution | None = None
     status = "max_iter"
@@ -340,6 +248,7 @@ def _interior_point(problem: QpProblem, tol: float, max_iter: int) -> QpSolution
         if stall >= 12:
             # converged as far as the arithmetic allows; grinding on only
             # shrinks the complementarity pairs into denormals
+            status = "stalled"
             break
 
         d = mu / np.maximum(z, 1e-280)
@@ -371,8 +280,6 @@ def _interior_point(problem: QpProblem, tol: float, max_iter: int) -> QpSolution
         nu = nu + ad * dnu
         mu = mu + ad * dmu
 
-    if status == "running":
-        status = "max_iter"
     assert best is not None
     best.status = status
     best.iterations = it
@@ -403,32 +310,27 @@ def _crossover(problem: QpProblem, sol: QpSolution,
     conditions fail; returns None if no verified improvement emerges
     within the pivot budget.
     """
-    if sol.nu is None or sol.mu is None or not np.all(np.isfinite(sol.z)):
+    if not np.all(np.isfinite(sol.z)):
         return None
     n, m = problem.n, problem.m_eq
     z0 = sol.z
     free = z0 > np.maximum(sol.mu, 0.0)
-    st = problem.structure
+    k, l = problem.k, problem.l
 
     def guard(free: np.ndarray, z: np.ndarray) -> None:
         # every simplex row needs at least one free coordinate
-        if st is not None:
-            Z = z.reshape(st.k, st.l)
-            covered = free.reshape(st.k, st.l).any(axis=0)
-            top = Z.argmax(axis=0) * st.l + np.arange(st.l)
-            free[top[~covered]] = True
-        elif not free.any():
-            free[int(np.argmax(z))] = True
+        covered = free.reshape(k, l).any(axis=0)
+        top = z.reshape(k, l).argmax(axis=0) * l + np.arange(l)
+        free[top[~covered]] = True
 
     guard(free, z0)
     c_scale = 1.0 + np.abs(problem.c).max()
-    b_scale = 1.0 + (np.abs(problem.b).max() if m else 0.0)
+    b_scale = 1.0 + np.abs(problem.b).max()
     z_scale = 1.0 + np.abs(z0).max()
     # any feasible coordinate obeys its simplex row, so a face solution
     # beyond the cap scale means the face system was effectively singular
     z_cap = 10.0 * (1.0 + np.abs(problem.b).sum())
 
-    nu = None
     seen: set[bytes] = set()
     for _ in range(60):
         idx = np.flatnonzero(free)
@@ -509,27 +411,21 @@ def _solve_face(problem: QpProblem, idx: np.ndarray):
 
 
 def _q_sub(problem: QpProblem, idx: np.ndarray) -> np.ndarray:
-    if problem.structure is None:
-        Q = problem.Q_dense()[np.ix_(idx, idx)].copy()
-        return Q
-    st = problem.structure
-    si = idx % st.l
-    cf = st.block_coeffs[idx // st.l]
-    Q = np.outer(cf, cf) * st.H[np.ix_(si, si)]
-    if st.chol_delta:
-        Q += st.chol_delta * np.outer(cf, cf) * (si[:, None] == si[None, :])
+    si = idx % problem.l
+    cf = problem.block_coeffs[idx // problem.l]
+    Q = np.outer(cf, cf) * problem.H[np.ix_(si, si)]
+    if problem.chol_delta:
+        Q += problem.chol_delta * np.outer(cf, cf) \
+            * (si[:, None] == si[None, :])
     if problem.reg:
         Q[np.diag_indices(idx.size)] += problem.reg
     return Q
 
 
 def _a_cols(problem: QpProblem, idx: np.ndarray) -> np.ndarray:
-    if problem.structure is None:
-        return problem.A_dense()[:, idx]
-    st = problem.structure
-    si = idx % st.l
-    A = np.zeros((st.l + 1, idx.size))
-    A[0] = st.block_coeffs[idx // st.l] * st.y[si]
+    si = idx % problem.l
+    A = np.zeros((problem.l + 1, idx.size))
+    A[0] = problem.block_coeffs[idx // problem.l] * problem.y[si]
     A[1 + si, np.arange(idx.size)] = 1.0
     return A
 
@@ -544,21 +440,18 @@ def _factorize(problem: QpProblem, d: np.ndarray):
 
     reusable for the predictor and corrector right-hand sides.
     """
-    if problem.structure is None or problem.structure.l < 12:
-        raw = _factorize_dense(problem, d)
-    else:
-        raw = _factorize_structured(problem, d)
+    raw = _factorize_structured(problem, d)
 
     def refined(r1: np.ndarray, r2: np.ndarray):
         # iterative refinement; the Schur pieces scale like 1/reg near
         # convergence and eat ~8 digits without it
         dz, dnu = raw(r1, r2)
-        scale = 1.0 + max(np.abs(r1).max(), np.abs(r2).max() if r2.size else 0.0)
+        scale = 1.0 + max(np.abs(r1).max(), np.abs(r2).max())
         prev = np.inf
         for _ in range(3):
             rr1 = r1 - (problem.q_mul(dz) + d * dz - problem.at_mul(dnu))
             rr2 = r2 - problem.a_mul(dz)
-            err = max(np.abs(rr1).max(), np.abs(rr2).max() if rr2.size else 0.0)
+            err = max(np.abs(rr1).max(), np.abs(rr2).max())
             if err <= 1e-13 * scale or err >= 0.5 * prev:
                 break
             prev = err
@@ -567,26 +460,6 @@ def _factorize(problem: QpProblem, d: np.ndarray):
         return dz, dnu
 
     return refined
-
-
-def _factorize_dense(problem: QpProblem, d: np.ndarray):
-    n, m = problem.n, problem.m_eq
-    S = np.zeros((n + m, n + m))
-    S[:n, :n] = problem.Q_dense()
-    S[:n, :n][np.diag_indices(n)] += d
-    A = problem.A_dense()
-    S[:n, n:] = A.T
-    S[n:, :n] = A
-    # tiny dual regularization keeps rank-deficient equality rows solvable
-    S[n:, n:][np.diag_indices(m)] -= 1e-12 * (1.0 + np.abs(A).max())
-    lu = scipy.linalg.lu_factor(S, check_finite=False)
-
-    def solve_kkt(r1: np.ndarray, r2: np.ndarray):
-        sol = scipy.linalg.lu_solve(lu, np.concatenate((r1, r2)),
-                                    check_finite=False)
-        return sol[:n], -sol[n:]
-
-    return solve_kkt
 
 
 def _factorize_structured(problem: QpProblem, d: np.ndarray):
@@ -599,12 +472,9 @@ def _factorize_structured(problem: QpProblem, d: np.ndarray):
     keeps everything Cholesky-friendly: I + L'GL is always well posed.
     The equality block is then a dense (l+1) Schur complement.
     """
-    st = problem.structure
-    if st.chol_L is None:
-        st.chol_L, st.chol_delta = gram_factor(st.H)
-    L = st.chol_L
-    l, k = st.l, st.k
-    coeffs = st.block_coeffs
+    L = problem.chol_L
+    l, k = problem.l, problem.k
+    coeffs = problem.block_coeffs
     P = (problem.reg + d).reshape(k, l)
     Pinv = 1.0 / P
 
@@ -628,123 +498,23 @@ def _factorize_structured(problem: QpProblem, d: np.ndarray):
 
     # Schur complement over [balance row; simplex rows]
     X = np.empty((l, l + 1))
-    X[:, 0] = L.T @ (st.y * g)
+    X[:, 0] = L.T @ (problem.y * g)
     X[:, 1:] = L.T * t[None, :]
     FX = scipy.linalg.cho_solve(F_chol, X, check_finite=False)
     T = np.empty((l + 1, l + 1))
     T[0, 0] = g.sum()
-    T[0, 1:] = st.y * t
-    T[1:, 0] = st.y * t
+    T[0, 1:] = problem.y * t
+    T[1:, 0] = problem.y * t
     T[1:, 1:] = np.diag(r)
     S_eq = T - X.T @ FX
     S_eq[np.diag_indices(l + 1)] += 1e-12 * (1.0 + abs(T[0, 0]))
-    try:
-        S_chol = scipy.linalg.cho_factor(S_eq, lower=True,
-                                         check_finite=False)
-        eq_solve = lambda rhs: scipy.linalg.cho_solve(S_chol, rhs,
-                                                      check_finite=False)
-    except scipy.linalg.LinAlgError:
-        lu = scipy.linalg.lu_factor(S_eq, check_finite=False)
-        eq_solve = lambda rhs: scipy.linalg.lu_solve(lu, rhs,
-                                                     check_finite=False)
+    S_chol = scipy.linalg.cho_factor(S_eq, lower=True, check_finite=False)
 
     def solve_kkt(r1: np.ndarray, r2: np.ndarray):
         u = M_inv(r1)
-        dnu = eq_solve(r2 - problem.a_mul(u))
+        dnu = scipy.linalg.cho_solve(S_chol, r2 - problem.a_mul(u),
+                                     check_finite=False)
         dz = M_inv(r1 + problem.at_mul(dnu))
         return dz, dnu
 
     return solve_kkt
-
-
-# ---------------------------------------------------------------------------
-# projected-gradient fallback (structured problems)
-
-
-def _project_simplexes(Z: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Project each column of Z (k x l) onto {v >= 0, sum v = C_i}."""
-    k, l = Z.shape
-    U = -np.sort(-Z, axis=0)                # descending per column
-    css = np.cumsum(U, axis=0) - C[None, :]
-    idx = np.arange(1, k + 1)[:, None]
-    cond = U - css / idx > 0
-    rho = k - np.argmax(cond[::-1], axis=0) - 1
-    theta = css[rho, np.arange(l)] / (rho + 1)
-    return np.maximum(Z - theta[None, :], 0.0)
-
-
-def _projected_gradient(problem: QpProblem, tol: float,
-                        max_rounds: int = 8,
-                        inner_iters: int = 4000) -> QpSolution:
-    """FISTA over the product of per-sample simplexes.
-
-    The balance row is enforced through a quadratic penalty whose
-    weight grows geometrically across rounds (warm-started).  Residuals
-    in the returned solution are measured on the true KKT system, and
-    the status is "optimal" only if they actually meet ``tol``.
-    """
-    st = problem.structure
-    if st is None:
-        raise ValueError("projected-gradient fallback needs structure")
-    k, l = st.k, st.l
-    coeffs = st.block_coeffs
-    y = st.y
-
-    z = problem.feasible_start()
-    # Lipschitz estimate via power iteration on Q
-    v = np.random.default_rng(0).standard_normal(problem.n)
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(25):
-        w = problem.q_mul(v)
-        lam = float(np.linalg.norm(w))
-        if lam == 0:
-            break
-        v = w / lam
-    ag_norm2 = float((coeffs ** 2).sum() * l)
-    rho = max(lam, 1.0)
-    b_scale = 1.0 + np.abs(problem.b).max()
-    balance_vec = problem.at_mul(np.concatenate(([1.0], np.zeros(l))))
-
-    for _ in range(max_rounds):
-        step = 1.0 / (lam + rho * ag_norm2 + problem.reg + 1e-12)
-        x = z.copy()
-        zk = z.copy()
-        tk = 1.0
-        for _ in range(inner_iters):
-            bal = float(y @ st.combined(x))
-            grad = problem.q_mul(x) + problem.c + rho * bal * balance_vec
-            Znew = (x - step * grad).reshape(k, l)
-            z_new = _project_simplexes(Znew, st.C).ravel()
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-            x = z_new + ((tk - 1.0) / t_new) * (z_new - zk)
-            move = np.abs(z_new - zk).max()
-            zk, tk = z_new, t_new
-            if move < 1e-12 * (1.0 + np.abs(zk).max()):
-                break
-        z = zk
-        if abs(float(y @ st.combined(z))) <= tol * b_scale:
-            break
-        rho *= 10.0
-
-    # recover multipliers from the gradient at z
-    grad = problem.q_mul(z) + problem.c
-    bal = float(y @ st.combined(z))
-    nu_g = -rho * bal
-    shifted = (grad.reshape(k, l) - np.multiply.outer(coeffs, y * nu_g))
-    nu_s = shifted.min(axis=0)
-    nu = np.concatenate(([nu_g], nu_s))
-    mu = np.maximum((shifted - nu_s[None, :]).ravel(), 0.0)
-
-    qz = problem.q_mul(z)
-    obj = float(0.5 * z @ qz + problem.c @ z)
-    r_d = qz + problem.c - problem.at_mul(nu) - mu
-    r_p = problem.a_mul(z) - problem.b
-    res = {
-        "primal_eq": float(np.abs(r_p).max()) / b_scale,
-        "dual_stationarity": float(np.abs(r_d).max())
-        / (1.0 + np.abs(problem.c).max() + np.abs(qz).max()),
-        "complementarity": abs(float(z @ mu)) / problem.n / (1.0 + abs(obj)),
-    }
-    status = "optimal" if max(res.values()) <= tol else "max_iter"
-    return QpSolution(z, obj, res, inner_iters, status, nu, mu)

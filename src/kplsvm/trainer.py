@@ -43,7 +43,6 @@ class TrainParams:
     qp_tol: float = 1e-8
     max_iter: int = 200
     active_threshold: float = 1e-6
-    method: str = "auto"
     canonicalize: bool = True
 
     def __post_init__(self):
@@ -158,8 +157,7 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
 
     problem = qp.assemble_dual(H, y, C, spec)
     try:
-        sol = qp.solve(problem, tol=params.qp_tol, max_iter=params.max_iter,
-                       method=params.method)
+        sol = qp.solve(problem, tol=params.qp_tol, max_iter=params.max_iter)
     except SolverError as exc:
         raise TrainingError(f"dual solve failed: {exc}") from exc
     if sol.status != "optimal":
@@ -169,7 +167,7 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
             f"(residuals {sol.kkt_residuals})")
 
     l = y.size
-    s = problem.structure.combined(sol.z)
+    s = problem.combined(sol.z)
     beta = s * y
     scores_wo_b = G @ beta          # sum_i beta_i k(x_i, x_j), no bias
 
@@ -313,7 +311,7 @@ def _kkt_report(sol: qp.QpSolution, problem: qp.QpProblem, spec: LossSpec,
     grad_scale = 1.0 + np.abs(problem.c).max() + np.abs(Qz).max()
     stationarity_w = float(max(0.0, -mu.min()) / grad_scale)
 
-    s = problem.structure.combined(z)
+    s = problem.combined(z)
     stationarity_b = float(abs(s @ y) / (1.0 + np.abs(s).sum()))
 
     blocks = z.reshape(k, l)
@@ -347,14 +345,14 @@ def verify_kkt(sol: qp.QpSolution, problem: qp.QpProblem, spec: LossSpec,
                             kkt_residuals=dict(sol.kkt_residuals),
                             iterations=sol.iterations, status=sol.status,
                             nu=sol.nu, mu=sol.mu)
-        s = problem.structure.combined(sol.z)
+        s = problem.combined(sol.z)
         scores_wo_b = _scores_from_combined(problem, s, y)
     return _kkt_report(sol, problem, spec, y, C, scores_wo_b, b)
 
 
 def _scores_from_combined(problem, s, y):
     # H = (y y^T) o G, so G (s o y) = y o (H s)
-    return y * (problem.structure.H @ s)
+    return y * (problem.H @ s)
 
 
 def reduction_equivalence(dataset, c0: float,

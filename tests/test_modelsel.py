@@ -1,11 +1,15 @@
 """Grid-search protocol, evaluation harness, and benchmark reports."""
 
+import collections
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from kplsvm import datasets, modelsel
+from kplsvm import datasets, loss, modelsel
 from kplsvm.data import Dataset
 from kplsvm.errors import DataError, TrainingError
 from kplsvm.modelsel import (CellRecord, GridSpec, REPORT_COLUMNS, evaluate,
@@ -246,6 +250,37 @@ class TestStagedSearch:
                                      tau_grid=(0.0,), eps_grid=(0.0,)),
                             criterion="cv", folds=3)
         assert rep.criterion == "cv3"
+
+    def test_concurrent_duplicates_train_once(self, monkeypatch):
+        real = modelsel.train
+        trains = collections.Counter()
+        lock = threading.Lock()
+
+        def slow(X, y, params):
+            canon = loss.canonical(params.loss)
+            with lock:
+                trains[canon.taus, canon.epsilons, params.c0] += 1
+            time.sleep(0.05)    # keeps the key in flight for its twin
+            return real(X, y, params)
+
+        monkeypatch.setattr(modelsel, "train", slow)
+        scorer = modelsel._Scorer(blob_dataset(), "holdout", folds=5)
+        # each pair below canonicalizes to one training problem
+        cells = [("hinge", 1.0, None, (0.0,), (0.0,)),
+                 ("3pl", 1.0, None, (0.0, 0.0), (0.0, 0.0)),
+                 ("3pl", 1.0, None, (0.4, -0.4), (0.5, 0.0)),
+                 ("3pl", 1.0, None, (-0.4, 0.4), (0.0, 0.5))] * 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            records = modelsel._run_cells(cells, scorer, jobs=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(trains) == 2
+        assert set(trains.values()) == {1}
+        assert sum(r.time_s == 0.0 for r in records) == len(cells) - 2
+        assert records[0].accuracy == records[1].accuracy
+        assert records[2].accuracy == records[3].accuracy
 
 
 class TestBenchmarkRun:

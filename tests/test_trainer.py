@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kplsvm import blas, datasets, kernels, loss, qp, trainer
-from kplsvm.data import Dataset
+from kplsvm.data import Dataset, split_dataset
 from kplsvm.errors import DataError, TrainingError
 from kplsvm.kernels import KernelSpec
 from kplsvm.loss import LossSpec
@@ -188,6 +188,24 @@ class TestTrainBasics:
         np.testing.assert_allclose(m.decision_function(X), manual, atol=1e-12)
 
 
+class TestSolverStatus:
+    def test_stall_is_reported_as_stalled(self):
+        # haberman stand-in (corpus seed 0, split seed 0, l = 150): the
+        # interior point stops improving after 15 iterations, far below
+        # its 200-iteration budget, so the failure is a stall
+        row = next(r for r in datasets.CORPUS_TABLE if r.name == "haberman")
+        X, y01 = datasets.make_standin("haberman", row.rows, row.features,
+                                       seed=0, binary=row.binary)
+        y = y01 * 2.0 - 1.0
+        tr, _ = split_dataset(Dataset(X, y), row.n_train, seed=0)
+        assert tr.size == 150
+        params = TrainParams(loss=LossSpec(taus=(-0.8, 0.0),
+                                           epsilons=(0.0, -1.0)),
+                             c0=128.0, max_iter=200)
+        with pytest.raises(TrainingError, match="'stalled'"):
+            train(X[tr], y[tr], params)
+
+
 class TestSupportPruning:
     def test_prunes_non_support_points(self):
         X, y = blob_pair(seed=3, gap=3.0)
@@ -298,7 +316,7 @@ class TestKktReport:
         problem = qp.assemble_dual(G * np.outer(y, y), y, C,
                                    loss.canonical(spec))
         sol = qp.solve(problem)
-        s = problem.structure.combined(sol.z)
+        s = problem.combined(sol.z)
         scores = G @ (s * y)
         b, _, _ = trainer.recover_bias(sol.z, scores, loss.canonical(spec),
                                        y, C, 1e-6)
