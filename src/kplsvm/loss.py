@@ -26,6 +26,9 @@ __all__ = [
     "hinge",
     "pinball",
     "pieces",
+    "slopes",
+    "intercepts",
+    "crossings",
     "eval_loss",
     "eval_subgradient",
     "fit_from_pieces",
@@ -33,8 +36,8 @@ __all__ = [
     "canonical",
 ]
 
-# Two pieces whose crossing value is evaluated are treated as parallel
-# below this slope difference; parallel pieces never cross.
+# Two pieces are treated as parallel, and so as never crossing, below
+# this slope difference.
 _PARALLEL_TOL = 1e-9
 
 
@@ -113,19 +116,38 @@ def pieces(spec: LossSpec) -> list[AffinePiece]:
     return out
 
 
-def _slopes(spec: LossSpec) -> np.ndarray:
+def slopes(spec: LossSpec) -> np.ndarray:
+    """Slope of every piece: 1 for the identity, then -tau_m."""
     return np.concatenate(([1.0], -np.asarray(spec.taus, dtype=float)))
 
 
-def _intercepts(spec: LossSpec) -> np.ndarray:
+def intercepts(spec: LossSpec) -> np.ndarray:
+    """Intercept of every piece: 0 for the identity, then eps_m."""
     return np.concatenate(([0.0], np.asarray(spec.epsilons, dtype=float)))
+
+
+def crossings(spec: LossSpec):
+    """Where two pieces cross: arrays ``(a, b, u, value)``.
+
+    One entry per pair of piece indices ``a < b`` (identity = 0) whose
+    slopes differ, in ``itertools.combinations`` order; pieces ``a`` and
+    ``b`` both equal ``value`` at ``u``.  With the identity written as
+    tau = -1, eps = 0, ``u = (eps_b - eps_a) / (tau_b - tau_a)``.
+    """
+    s, e = slopes(spec), intercepts(spec)
+    a, b = np.triu_indices(s.size, k=1)
+    ds = s[a] - s[b]
+    keep = np.abs(ds) >= _PARALLEL_TOL
+    a, b, ds = a[keep], b[keep], ds[keep]
+    u = (e[b] - e[a]) / ds
+    return a, b, u, s[a] * u + e[a]
 
 
 def eval_loss(spec: LossSpec, u):
     """Evaluate the loss at ``u`` (scalar or ndarray, any shape)."""
     u_arr = np.asarray(u, dtype=float)
-    a = _slopes(spec)
-    b = _intercepts(spec)
+    a = slopes(spec)
+    b = intercepts(spec)
     vals = a * u_arr[..., None] + b
     out = vals.max(axis=-1)
     if np.isscalar(u) or np.ndim(u) == 0:
@@ -139,8 +161,8 @@ def eval_subgradient(spec: LossSpec, u: float) -> tuple[float, float]:
     Away from kinks the interval is degenerate (the active slope);
     at a kink it spans the slopes of all active pieces.
     """
-    a = _slopes(spec)
-    b = _intercepts(spec)
+    a = slopes(spec)
+    b = intercepts(spec)
     vals = a * float(u) + b
     top = vals.max()
     active = vals >= top - 1e-12 * (1.0 + abs(top))
@@ -198,10 +220,9 @@ def check_properties(spec: LossSpec) -> LossPropertyReport:
       with tau_m != 0, and the right-derivative at u = 1, measured
       directly on the piece set, is strictly positive.  The direct
       check catches configurations the algebraic ratio test misses.
-    * ``nonnegativity_condition_holds``: every pairwise crossing value
-      (eps_i*tau_j - eps_j*tau_i)/(tau_j - tau_i) over non-parallel
-      piece pairs is >= 0 and eps_j/(1 + tau_j) >= 0 for every piece
-      with tau_j != -1; tau_j = -1 pieces are skipped and counted.
+    * ``nonnegativity_condition_holds``: every ``crossings`` value is
+      >= 0.  A piece with tau = -1 never crosses the identity; such
+      pieces are skipped and counted.
     * ``influence_lower`` / ``influence_upper``: min and max over the
       slope set {1, -tau_1, ..., -tau_{k-1}}, bracketing every
       subgradient the loss can produce.
@@ -219,29 +240,13 @@ def check_properties(spec: LossSpec) -> LossPropertyReport:
     _, right_deriv = eval_subgradient(spec, 1.0)
     derivative_ok = algebraic_ok and right_deriv > 0.0
 
-    nonneg_ok = True
-    skipped = 0
-    m = taus.size
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(taus[j] - taus[i]) <= _PARALLEL_TOL:
-                continue
-            crossing = (eps[i] * taus[j] - eps[j] * taus[i]) / (taus[j] - taus[i])
-            if crossing < 0.0:
-                nonneg_ok = False
-    for j in range(m):
-        if abs(1.0 + taus[j]) <= _PARALLEL_TOL:
-            skipped += 1
-            continue
-        if eps[j] / (1.0 + taus[j]) < 0.0:
-            nonneg_ok = False
-
-    slopes = _slopes(spec)
+    a, _, _, value = crossings(spec)
+    s = slopes(spec)
     return LossPropertyReport(
         lipschitz_constant=lipschitz,
         derivative_condition_holds=derivative_ok,
-        nonnegativity_condition_holds=nonneg_ok,
-        influence_lower=float(slopes.min()),
-        influence_upper=float(slopes.max()),
-        nonnegativity_pieces_skipped=skipped,
+        nonnegativity_condition_holds=bool((value >= 0.0).all()),
+        influence_lower=float(s.min()),
+        influence_upper=float(s.max()),
+        nonnegativity_pieces_skipped=int(taus.size - (a == 0).sum()),
     )

@@ -228,17 +228,17 @@ def _family_params(family, grids):
 
 
 def _kernel_for(kernel_kind, q):
+    """The linear kernel, or the RBF kernel of width q (1.0 when blank)."""
     if kernel_kind == "linear":
         return KernelSpec(kind="linear")
-    return KernelSpec(kind="rbf", q=q)
+    return KernelSpec(kind="rbf", q=1.0 if q is None else q)
 
 
 def _run_cells(cells, scorer, jobs):
     """Evaluate (family, c0, q, taus, eps) cells; order-preserving."""
     def one(cell):
         family, c0, q, taus, eps = cell
-        kspec = (KernelSpec(kind="linear") if q is None
-                 else KernelSpec(kind="rbf", q=q))
+        kspec = _kernel_for("linear" if q is None else "rbf", q)
         spec = LossSpec(taus=taus, epsilons=eps)
         acc, err, dt = scorer.score(spec, c0, kspec)
         return CellRecord(family, c0, q, taus, eps, acc, dt, err)
@@ -419,7 +419,7 @@ def _replay_dataset(dataset, rows, kernel_kind, balance=True):
     tr, te = dataset.split
     records, best = [], {}
     for fam, c0, q, taus, eps in rows:
-        kspec = _kernel_for(kernel_kind, q if q is not None else 1.0)
+        kspec = _kernel_for(kernel_kind, q)
         t0 = time.perf_counter()
         try:
             params = TrainParams(loss=LossSpec(taus=taus, epsilons=eps),

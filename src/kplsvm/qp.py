@@ -9,7 +9,8 @@ where z stacks k blocks of length l (one multiplier block per piece),
 Q = D'(H + delta*I)D + reg*I with D = [I, -tau_1*I, ...],
 H_ij = y_i y_j k(x_i, x_j) and delta the jitter of ``gram_factor``, and
 the equalities are one global balance row y'Dz = 0 plus l per-sample
-simplex rows (block sums equal the per-sample cap C_i).
+simplex rows (block sums equal the per-sample cap C_i).  Block m of c
+is -(slope_m + intercept_m) of piece m (``loss.slopes``/``intercepts``).
 
 ``solve`` runs a primal-dual interior-point method with Mehrotra's
 predictor-corrector steps.  Its Newton system is solved by block
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import loss
 from .errors import InfeasibleError
 from .loss import LossSpec
 
@@ -46,7 +48,7 @@ class QpProblem:
     H: np.ndarray                  # l x l, symmetric PSD
     y: np.ndarray                  # l, +-1
     C: np.ndarray                  # l, positive caps
-    block_coeffs: np.ndarray       # k, (1, -tau_1, ..., -tau_{k-1})
+    block_coeffs: np.ndarray       # k, loss.slopes(spec)
     c: np.ndarray                  # k*l, linear cost
     b: np.ndarray                  # l+1, (0, C)
     reg: float                     # diagonal regularization of Q
@@ -151,7 +153,7 @@ def assemble_dual(
     if np.any(C <= 0):
         raise ValueError("per-sample caps must be positive")
 
-    coeffs = np.concatenate(([1.0], -np.asarray(spec.taus, dtype=float)))
+    coeffs = loss.slopes(spec)
     lo, hi = coeffs.min(), coeffs.max()
     pos_total = float(C[y > 0].sum())
     neg_total = float(C[y < 0].sum())
@@ -163,11 +165,7 @@ def assemble_dual(
             certificate=float(gap),
         )
 
-    k = coeffs.size
-    c = np.empty(k * l)
-    c[:l] = -1.0
-    for m in range(1, k):
-        c[m * l:(m + 1) * l] = spec.taus[m - 1] - spec.epsilons[m - 1]
+    c = np.repeat(-(coeffs + loss.intercepts(spec)), l)
     b = np.concatenate(([0.0], C))
     reg = 1e-10 * np.trace(H) / l
     # The Gram factor is computed eagerly so every view of the problem

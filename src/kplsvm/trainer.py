@@ -10,7 +10,6 @@ piecewise-linear line search), taking the optimal point closest to zero.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +29,6 @@ __all__ = [
     "verify_kkt",
     "reduction_equivalence",
 ]
-
-_PAR_TOL = 1e-9   # slope-coincidence guard in bias formulas
 
 
 @dataclass(frozen=True)
@@ -65,9 +62,9 @@ class KktReport:
     the objective's gradient scale.  stationarity_b: balance equation
     |sum_i s_i y_i| / (1 + ||s||_1).  stationarity_xi: per-sample cap
     equations max_i |C_i - sum of blocks| / (1 + C_i).  complementarity_max:
-    multiplier-times-slack products of both piece families, using the
-    recovered bias.  primal_feasibility_max: piece values exceeding the
-    recovered slack xi_i = L(u_i) plus multiplier sign violations.
+    multiplier-times-slack products of every piece, using the
+    recovered bias.  primal_feasibility_max: multiplier sign violations
+    (the slack xi_i = L(u_i) satisfies every piece by construction).
     """
 
     stationarity_w: float
@@ -216,11 +213,11 @@ def recover_bias(z: np.ndarray, scores_wo_b: np.ndarray, spec: LossSpec,
                  mu: np.ndarray | None = None):
     """(bias, candidate_count, used_fallback) from complementary slackness.
 
-    A sample whose identity multiplier and one piece multiplier are both
-    active pins u_j = eps_m / (1 + tau_m); two active piece multipliers
-    pin u_j = (eps_2 - eps_1) / (tau_2 - tau_1).  Each gives the candidate
-    b = y_j (1 - u_j) - score_j.  Candidates average arithmetically; an
-    empty set falls back to the exact primal line search in b.
+    A sample whose multipliers of two crossing pieces p and q are both
+    active pins its margin u_j to their crossing (``loss.crossings``),
+    which gives the candidate b = y_j (1 - u_j) - score_j.  Candidates
+    average arithmetically; an empty set falls back to the exact primal
+    line search in b.
 
     ``mu`` (the dual slack vector, when available) refines which
     multipliers count as active: a coordinate whose slack dominates its
@@ -233,38 +230,20 @@ def recover_bias(z: np.ndarray, scores_wo_b: np.ndarray, spec: LossSpec,
     active = blocks > threshold * C[None, :]
     if mu is not None:
         active &= blocks > mu.reshape(k, l)
-    taus, epss = spec.taus, spec.epsilons
-
-    cands: list[float] = []
-    for j in range(l):
-        if active[0, j]:
-            for m in range(k - 1):
-                if active[m + 1, j] and abs(1.0 + taus[m]) >= _PAR_TOL:
-                    u = epss[m] / (1.0 + taus[m])
-                    cands.append(y[j] * (1.0 - u) - scores_wo_b[j])
-        for m1, m2 in itertools.combinations(range(k - 1), 2):
-            if active[m1 + 1, j] and active[m2 + 1, j] \
-                    and abs(taus[m2] - taus[m1]) >= _PAR_TOL:
-                u = (epss[m2] - epss[m1]) / (taus[m2] - taus[m1])
-                cands.append(y[j] * (1.0 - u) - scores_wo_b[j])
-    if cands:
-        return float(np.mean(cands)), len(cands), False
+    p, q, u, _ = loss.crossings(spec)
+    # (l, crossings), read sample-major
+    both = (active[p] & active[q]).T
+    cands = (y[:, None] * (1.0 - u) - scores_wo_b[:, None])[both]
+    if cands.size:
+        return float(np.mean(cands)), int(cands.size), False
     return _bias_line_search(scores_wo_b, spec, y, C), 0, True
 
 
 def _envelope_kinks(spec: LossSpec) -> list[float]:
     """u-positions where the active piece of the loss changes."""
-    pieces = loss.pieces(spec)
-    kinks = []
-    for p, q in itertools.combinations(pieces, 2):
-        if abs(p.slope - q.slope) < _PAR_TOL:
-            continue
-        u = (q.intercept - p.intercept) / (p.slope - q.slope)
-        v = p.slope * u + p.intercept
-        top = max(pc.slope * u + pc.intercept for pc in pieces)
-        if v >= top - 1e-9 * (1.0 + abs(top)):
-            kinks.append(u)
-    return sorted(set(kinks))
+    _, _, u, value = loss.crossings(spec)
+    top = loss.eval_loss(spec, u)
+    return np.unique(u[value >= top - 1e-9 * (1.0 + np.abs(top))]).tolist()
 
 
 def _bias_line_search(scores_wo_b, spec, y, C) -> float:
@@ -319,15 +298,13 @@ def _kkt_report(sol: qp.QpSolution, problem: qp.QpProblem, spec: LossSpec,
         (np.abs(C - blocks.sum(axis=0)) / (1.0 + C)).max())
 
     u = 1.0 - y * (scores_wo_b + b)
-    xi = np.atleast_1d(loss.eval_loss(spec, u))
-    comp = np.abs(blocks[0] * (xi - u)) / (1.0 + C)
-    feas = 0.0
-    for m, (tau, eps) in enumerate(zip(spec.taus, spec.epsilons)):
-        piece = -tau * u + eps
-        comp = np.maximum(comp, np.abs(blocks[m + 1] * (xi - piece)) / (1.0 + C))
-        feas = max(feas, float((piece - xi).max()))
-    complementarity_max = float(comp.max())
-    primal_feasibility_max = float(max(0.0, feas, -z.min()))
+    values = np.multiply.outer(loss.slopes(spec), u) \
+        + loss.intercepts(spec)[:, None]
+    xi = values.max(axis=0)
+    complementarity_max = float(
+        (np.abs(blocks * (xi - values)) / (1.0 + C)).max())
+    # xi is the envelope itself, so no piece exceeds it
+    primal_feasibility_max = float(max(0.0, -z.min()))
     return KktReport(stationarity_w=stationarity_w,
                      stationarity_b=stationarity_b,
                      stationarity_xi=stationarity_xi,

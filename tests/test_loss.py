@@ -1,19 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kplsvm import loss
+from kplsvm import loss, trainer
 from kplsvm.errors import RepresentationError
 
 
-def specs(max_pieces=3, tau_bound=3.0, eps_bound=10.0):
-    """Strategy over loss specs, including the k=1 identity-only case."""
-    finite = st.floats(-tau_bound, tau_bound, allow_nan=False)
-    finite_eps = st.floats(-eps_bound, eps_bound, allow_nan=False)
-    return st.integers(0, max_pieces).flatmap(
+def specs(taus=st.floats(-3.0, 3.0, allow_nan=False),
+          epsilons=st.floats(-10.0, 10.0, allow_nan=False)):
+    """Strategy over loss specs with k <= 4, including k = 1 (identity only)."""
+    return st.integers(0, 3).flatmap(
         lambda m: st.tuples(
-            st.tuples(*[finite] * m), st.tuples(*[finite_eps] * m)
+            st.tuples(*[taus] * m), st.tuples(*[epsilons] * m)
         ).map(lambda te: loss.LossSpec(taus=te[0], epsilons=te[1]))
     )
 
@@ -68,6 +69,64 @@ class TestSubgradient:
 
     def test_pinball_kink(self):
         assert loss.eval_subgradient(loss.pinball(0.5), 0.0) == (-0.5, 1.0)
+
+
+# tau = -1 (parallel to the identity) and repeated taus come up often
+CROSSING_TAUS = st.one_of(
+    st.sampled_from((-1.0, -0.5, 0.0, 0.4, 2.0)),
+    st.floats(-3.0, 3.0, allow_subnormal=False))
+CROSSING_EPS = st.one_of(
+    st.sampled_from((0.0, 1.0)), st.floats(-10.0, 10.0, allow_subnormal=False))
+# a dyadic grid keeps distinct kinks far apart and exactly representable
+GRID_TAUS = st.sampled_from(tuple(-1.0 + 0.25 * i for i in range(13)))
+GRID_EPS = st.sampled_from(tuple(-4.0 + 0.5 * i for i in range(17)))
+
+
+class TestCrossings:
+    def test_slopes_and_intercepts_put_the_identity_first(self):
+        spec = loss.LossSpec(taus=(0.5, -2.0), epsilons=(1.0, 3.0))
+        assert loss.slopes(spec).tolist() == [1.0, -0.5, 2.0]
+        assert loss.intercepts(spec).tolist() == [0.0, 1.0, 3.0]
+
+    def test_hinge_crosses_at_zero(self):
+        a, b, u, value = loss.crossings(loss.hinge())
+        assert (a.tolist(), b.tolist(), u.tolist(), value.tolist()) == (
+            [0], [1], [0.0], [0.0])
+
+    @given(specs(CROSSING_TAUS, CROSSING_EPS))
+    @example(loss.LossSpec(taus=(-1.0, -1.0, 0.4), epsilons=(0.0, 2.0, 1.0)))
+    @example(loss.LossSpec(taus=(0.4, 0.4, -1.0), epsilons=(1.0, -3.0, 0.5)))
+    @settings(max_examples=200, deadline=None)
+    def test_every_non_parallel_pair_crosses_at_value(self, spec):
+        s, e = loss.slopes(spec), loss.intercepts(spec)
+        a, b, u, value = loss.crossings(spec)
+        found = list(zip(a.tolist(), b.tolist()))
+        # at most once each, in combinations order
+        assert found == sorted(set(found))
+        for i, j in itertools.combinations(range(spec.k), 2):
+            if (i, j) not in found:
+                assert abs(s[i] - s[j]) <= 1e-9, (i, j)
+                continue
+            n = found.index((i, j))
+            # relative to the size of the terms that cancel at the crossing
+            scale = sum(abs(s[p] * u[n]) + abs(e[p]) for p in (i, j))
+            for p in (i, j):
+                assert abs(s[p] * u[n] + e[p] - value[n]) <= 1e-12 * scale
+
+
+class TestEnvelopeKinks:
+    @given(specs(GRID_TAUS, GRID_EPS))
+    @settings(max_examples=200, deadline=None)
+    def test_kinks_are_where_the_subgradient_jumps(self, spec):
+        kinks = trainer._envelope_kinks(spec)
+        for u in kinks:
+            lo, hi = loss.eval_subgradient(spec, u)
+            assert lo < hi, u
+        # on this grid every crossing lies within |u| <= 32
+        for u in np.linspace(-40.0, 40.0, 641):
+            if all(abs(u - kink) > 1e-6 for kink in kinks):
+                lo, hi = loss.eval_subgradient(spec, u)
+                assert lo == hi, u
 
 
 class TestFitFromPieces:

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -225,7 +227,59 @@ class TestSupportPruning:
                                    full.decision_function(X), atol=1e-6)
 
 
+def recover_bias_per_sample(z, scores_wo_b, spec, y, C, threshold, mu=None):
+    """Oracle: the per-sample candidate loop with its two formulas."""
+    l, k = y.size, spec.k
+    blocks = z.reshape(k, l)
+    active = blocks > threshold * C[None, :]
+    if mu is not None:
+        active &= blocks > mu.reshape(k, l)
+    taus, epss = spec.taus, spec.epsilons
+    cands = []
+    for j in range(l):
+        if active[0, j]:
+            for m in range(k - 1):
+                if active[m + 1, j] and abs(1.0 + taus[m]) >= 1e-9:
+                    u = epss[m] / (1.0 + taus[m])
+                    cands.append(y[j] * (1.0 - u) - scores_wo_b[j])
+        for m1, m2 in itertools.combinations(range(k - 1), 2):
+            if active[m1 + 1, j] and active[m2 + 1, j] \
+                    and abs(taus[m2] - taus[m1]) >= 1e-9:
+                u = (epss[m2] - epss[m1]) / (taus[m2] - taus[m1])
+                cands.append(y[j] * (1.0 - u) - scores_wo_b[j])
+    if cands:
+        return float(np.mean(cands)), len(cands), False
+    return trainer._bias_line_search(scores_wo_b, spec, y, C), 0, True
+
+
 class TestBiasRecovery:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_per_sample_oracle_bit_for_bit(self, k):
+        # tau = -1 is parallel to the identity; repeated taus are parallel
+        # to each other.  A candidate mean sums in order, so a change of
+        # candidate order shows in the last bits.
+        rng = np.random.default_rng(100 + k)
+        routes = set()
+        for _ in range(60):
+            l = int(rng.integers(3, 12))
+            spec = LossSpec(
+                taus=tuple(rng.choice([-1.0, -0.5, 0.0, 0.3, 0.3, 1.7], k - 1)),
+                epsilons=tuple(rng.uniform(-2.0, 2.0, k - 1)))
+            y = np.where(rng.random(l) < 0.5, 1.0, -1.0)
+            y[:2] = (1.0, -1.0)
+            C = rng.uniform(0.5, 2.0, l)
+            z = rng.uniform(0.0, 1.0, (k, l)) * C
+            z[rng.random((k, l)) < rng.uniform(0.2, 0.9)] = 0.0
+            mu = (None if rng.random() < 0.3
+                  else rng.uniform(0.0, 0.4, (k, l)).ravel())
+            scores = rng.normal(size=l)
+            args = (z.ravel(), scores, spec, y, C, 1e-6, mu)
+            b, n, fallback = trainer.recover_bias(*args)
+            ob, on, ofallback = recover_bias_per_sample(*args)
+            assert (b.hex(), n, fallback) == (ob.hex(), on, ofallback)
+            routes.add("fallback" if fallback else min(n, 2))
+        assert routes == {"fallback", 1, 2}
+
     def test_hinge_margin_vector_formula(self):
         # Case A with tau=0, eps=0 degenerates to b = y_j - sum beta k(.,x_j)
         X, y = blob_pair(seed=3)
@@ -338,6 +392,34 @@ class TestKktReport:
         report = trainer.verify_kkt(sol, problem, spec, y, C, scores, b,
                                     z_override=z_bad)
         assert report.complementarity_max > 1e-3
+
+    def test_residuals_match_per_piece_loop(self):
+        sol, problem, spec, y, C, _, b = self.fit_with_internals(
+            LossSpec(taus=(0.5, -0.3), epsilons=(0.2, 1.0)), 2.0)
+        l = y.size
+        rng = np.random.default_rng(11)
+        for block in range(spec.k):
+            # one large block dominates the complementarity residual
+            z = rng.uniform(0.0, 1e-3, spec.k * l)
+            z[block * l:(block + 1) * l] = rng.uniform(0.5, 1.5, l)
+            z[block] = -0.01
+            scores = rng.normal(size=l)
+            report = trainer.verify_kkt(dataclasses.replace(sol, z=z),
+                                        problem, spec, y, C, scores, b)
+            # oracle: the identity piece, then one loop pass per piece
+            blocks = z.reshape(spec.k, l)
+            u = 1.0 - y * (scores + b)
+            xi = loss.eval_loss(spec, u)
+            comp = np.abs(blocks[0] * (xi - u)) / (1.0 + C)
+            feas = 0.0
+            for m, (tau, eps) in enumerate(zip(spec.taus, spec.epsilons)):
+                piece = -tau * u + eps
+                comp = np.maximum(
+                    comp, np.abs(blocks[m + 1] * (xi - piece)) / (1.0 + C))
+                feas = max(feas, float((piece - xi).max()))
+            assert report.complementarity_max == float(comp.max())
+            assert report.primal_feasibility_max == max(0.0, feas, 0.01)
+            np.testing.assert_array_equal(report.xi, xi)
 
     def test_xi_is_loss_at_margin(self):
         X, y = blob_pair(seed=5)
