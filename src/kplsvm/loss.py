@@ -29,6 +29,7 @@ __all__ = [
     "slopes",
     "intercepts",
     "crossings",
+    "kinks",
     "eval_loss",
     "eval_subgradient",
     "fit_from_pieces",
@@ -141,6 +142,26 @@ def crossings(spec: LossSpec):
     a, b, ds = a[keep], b[keep], ds[keep]
     u = (e[b] - e[a]) / ds
     return a, b, u, s[a] * u + e[a]
+
+
+def kinks(spec: LossSpec):
+    """Where the envelope's slope jumps: arrays ``(u, jump)``, u ascending.
+
+    The kinks are the crossings that reach the envelope.  Each jump is the
+    envelope's slope right of its kink less the slope left of it, read off
+    the top piece between neighbouring kinks, so near-coincident kinks
+    share one jump and the jumps add up to max slope - min slope.
+    """
+    _, _, u, value = crossings(spec)
+    top = eval_loss(spec, u)
+    u = np.unique(u[value >= top - 1e-9 * (1.0 + np.abs(top))])
+    if not u.size:
+        return u, u
+    s = slopes(spec)
+    mid = np.multiply.outer(0.5 * (u[:-1] + u[1:]), s) + intercepts(spec)
+    jump = np.diff(
+        np.concatenate(([s.min()], s[mid.argmax(axis=1)], [s.max()])))
+    return u[jump > 0], jump[jump > 0]
 
 
 def eval_loss(spec: LossSpec, u):

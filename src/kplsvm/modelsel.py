@@ -150,18 +150,16 @@ class _Scorer:
         self._cache = {}
         self._lock = threading.Lock()
 
-    def key(self, spec, c0, kspec):
-        canon = canonical(spec)
-        return (canon.taus, canon.epsilons, c0,
-                kspec.kind, kspec.q, kspec.rbf_form)
-
     def score(self, spec, c0, kspec):
         """(accuracy | None, error | None, seconds) for one config.
 
-        The first caller of a key trains it; a later or concurrent
-        caller waits for that result and reports 0.0 seconds.
+        The cache key is the canonical spec, which is also what gets
+        trained.  The first caller of a key trains it; a later or
+        concurrent caller waits for that result and reports 0.0 seconds.
         """
-        k = self.key(spec, c0, kspec)
+        spec = canonical(spec)
+        k = (spec.taus, spec.epsilons, c0, kspec.kind, kspec.q,
+             kspec.rbf_form)
         with self._lock:
             result = self._cache.get(k)
             owner = result is None
@@ -184,7 +182,8 @@ class _Scorer:
 
     def _score_uncached(self, spec, c0, kspec):
         params = TrainParams(loss=spec, c0=c0, kernel=kspec,
-                             balance_classes=self.balance)
+                             balance_classes=self.balance,
+                             canonicalize=False)
         if self.criterion == "holdout":
             model = train(self.X[self.tr], self.y[self.tr], params)
             return evaluate(model, self.X[self.te], self.y[self.te])

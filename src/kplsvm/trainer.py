@@ -2,10 +2,9 @@
 
 The decision function is f(x) = sign(sum_i beta_i k(x_i, x) + b) with
 beta_i = s_i y_i, where s is the combined multiplier vector of the dual.
-Bias comes from complementary-slackness candidates averaged over all
-samples with two active pieces; when no candidate exists, b falls back to
-the exact minimizer of the primal objective in b with w fixed (a convex
-piecewise-linear line search), taking the optimal point closest to zero.
+The bias is the exact minimizer of the primal objective in b with w
+fixed, a convex piecewise-linear function, taking the optimal point
+closest to zero.
 """
 
 from __future__ import annotations
@@ -33,6 +32,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainParams:
+    """One training configuration.
+
+    ``active_threshold`` only prunes support rows: a sample whose
+    combined multiplier is at most ``active_threshold * c0`` is left out
+    of the model, unless that would move a training score by more than
+    1e-6.
+    """
+
     loss: LossSpec
     c0: float
     kernel: KernelSpec = field(default_factory=KernelSpec)
@@ -168,8 +175,7 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
     beta = s * y
     scores_wo_b = G @ beta          # sum_i beta_i k(x_i, x_j), no bias
 
-    b, n_cands, used_fallback = recover_bias(
-        sol.z, scores_wo_b, spec, y, C, params.active_threshold, mu=sol.mu)
+    b = recover_bias(scores_wo_b, spec, y, C)
 
     report = _kkt_report(sol, problem, spec, y, C, scores_wo_b, b)
 
@@ -189,8 +195,6 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
         keep = np.ones(l, dtype=bool)
 
     diagnostics = {
-        "bias_candidates_used": n_cands,
-        "bias_fallback": used_fallback,
         "kkt_max_residual": report.max_residual,
         "duality_gap_rel": gap_rel,
         "primal_objective": primal_value,
@@ -208,75 +212,37 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
                         diagnostics=diagnostics)
 
 
-def recover_bias(z: np.ndarray, scores_wo_b: np.ndarray, spec: LossSpec,
-                 y: np.ndarray, C: np.ndarray, threshold: float,
-                 mu: np.ndarray | None = None):
-    """(bias, candidate_count, used_fallback) from complementary slackness.
+def recover_bias(scores_wo_b: np.ndarray, spec: LossSpec, y: np.ndarray,
+                 C: np.ndarray) -> float:
+    """Exact minimizer of phi(b) = sum_i C_i L(1 - y_i (score_i + b)).
 
-    A sample whose multipliers of two crossing pieces p and q are both
-    active pins its margin u_j to their crossing (``loss.crossings``),
-    which gives the candidate b = y_j (1 - u_j) - score_j.  Candidates
-    average arithmetically; an empty set falls back to the exact primal
-    line search in b.
-
-    ``mu`` (the dual slack vector, when available) refines which
-    multipliers count as active: a coordinate whose slack dominates its
-    value is converging to zero, and its margin equation carries the
-    solver's complementarity error rather than information about b.
+    phi is convex piecewise-linear; sample i's margin crosses kink u of
+    the loss at b = y_i (1 - u) - score_i, where phi's slope rises by
+    C_i times the kink's jump (``loss.kinks``).  One sorted sweep from
+    the slope at -infinity, C @ where(y > 0, -max slope, min slope),
+    gives the slope right of every breakpoint, and the minimizers lie
+    where it changes sign.  The sweep needs slope(-inf) <= 0 <=
+    slope(+inf), which is the feasibility of the dual's balance row.
+    Among minimizers the one closest to zero is returned (zero when phi
+    is flat there); a slope within 1e-12 of its terms' scale counts as
+    flat, which absorbs the rounding of the running sum.
     """
-    l = y.size
-    k = spec.k
-    blocks = z.reshape(k, l)
-    active = blocks > threshold * C[None, :]
-    if mu is not None:
-        active &= blocks > mu.reshape(k, l)
-    p, q, u, _ = loss.crossings(spec)
-    # (l, crossings), read sample-major
-    both = (active[p] & active[q]).T
-    cands = (y[:, None] * (1.0 - u) - scores_wo_b[:, None])[both]
-    if cands.size:
-        return float(np.mean(cands)), int(cands.size), False
-    return _bias_line_search(scores_wo_b, spec, y, C), 0, True
-
-
-def _envelope_kinks(spec: LossSpec) -> list[float]:
-    """u-positions where the active piece of the loss changes."""
-    _, _, u, value = loss.crossings(spec)
-    top = loss.eval_loss(spec, u)
-    return np.unique(u[value >= top - 1e-9 * (1.0 + np.abs(top))]).tolist()
-
-
-def _bias_line_search(scores_wo_b, spec, y, C) -> float:
-    """Exact minimizer of sum_i C_i L(1 - y_i (score_i + b)) over b.
-
-    The objective is convex piecewise-linear with breakpoints only where
-    some sample's margin crosses a kink of the loss.  Among minimizers the
-    one closest to zero is returned (zero when the objective is flat).
-    """
-    kinks = _envelope_kinks(spec)
-    if not kinks:
-        return 0.0
-    bps = np.unique(np.concatenate(
-        [y * (1.0 - u) - scores_wo_b for u in kinks]))
-
-    def phi(b):
-        return float(C @ loss.eval_loss(spec, 1.0 - y * (scores_wo_b + b)))
-
-    vals = np.array([phi(b) for b in bps])
-    vmin = vals.min()
-    opt = bps[vals <= vmin + 1e-12 * (1.0 + abs(vmin))]
-    lo, hi = float(opt.min()), float(opt.max())
-    # flat tails extend the optimal set to +-infinity
-    step = 1.0 + (bps.max() - bps.min())
-    if np.isclose(phi(bps[0] - step), vals[0], rtol=0, atol=1e-12 * (1 + abs(vals[0]))) \
-            and vals[0] <= vmin + 1e-12 * (1.0 + abs(vmin)):
-        lo = -np.inf
-    if np.isclose(phi(bps[-1] + step), vals[-1], rtol=0, atol=1e-12 * (1 + abs(vals[-1]))) \
-            and vals[-1] <= vmin + 1e-12 * (1.0 + abs(vmin)):
-        hi = np.inf
+    u, jump = loss.kinks(spec)
+    if not u.size:
+        return 0.0      # phi is linear, and the balance row makes it flat
+    s = loss.slopes(spec)
+    bps = (y[:, None] * (1.0 - u) - scores_wo_b[:, None]).ravel()
+    order = np.argsort(bps)
+    t = np.concatenate(([-np.inf], bps[order], [np.inf]))
+    left = C @ np.where(y > 0, -s.max(), s.min())
+    rise = (C[:, None] * jump).ravel()[order]
+    slope = np.concatenate(([left], left + np.cumsum(rise), [np.inf]))
+    tol = 1e-12 * C.sum() * np.abs(s).max()
+    lo = t[np.argmax(slope >= -tol)]
+    hi = t[np.argmax(slope > tol)]
     if lo <= 0.0 <= hi:
         return 0.0
-    return hi if hi < 0.0 else lo
+    return float(hi if hi < 0.0 else lo)
 
 
 def _kkt_report(sol: qp.QpSolution, problem: qp.QpProblem, spec: LossSpec,

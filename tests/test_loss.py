@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kplsvm import loss, trainer
+from kplsvm import loss
 from kplsvm.errors import RepresentationError
 
 
@@ -118,7 +118,7 @@ class TestEnvelopeKinks:
     @given(specs(GRID_TAUS, GRID_EPS))
     @settings(max_examples=200, deadline=None)
     def test_kinks_are_where_the_subgradient_jumps(self, spec):
-        kinks = trainer._envelope_kinks(spec)
+        kinks, _ = loss.kinks(spec)
         for u in kinks:
             lo, hi = loss.eval_subgradient(spec, u)
             assert lo < hi, u
@@ -127,6 +127,25 @@ class TestEnvelopeKinks:
             if all(abs(u - kink) > 1e-6 for kink in kinks):
                 lo, hi = loss.eval_subgradient(spec, u)
                 assert lo == hi, u
+
+    @given(specs(CROSSING_TAUS, CROSSING_EPS))
+    @example(loss.LossSpec(taus=(0.0, 0.0), epsilons=(0.0, 9.1e-180)))
+    @example(loss.LossSpec(taus=(0.0, 0.0), epsilons=(1e-300, 0.0)))
+    @example(loss.LossSpec(taus=(-1.0, 0.4), epsilons=(2.0, 1.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_jumps_add_up_to_the_slope_range(self, spec):
+        u, jump = loss.kinks(spec)
+        s = loss.slopes(spec)
+        assert u.shape == jump.shape
+        assert (np.diff(u) > 0).all()
+        assert (jump > 0).all()
+        if u.size:
+            # near-coincident kinks share one jump rather than each
+            # counting the whole subgradient width
+            assert jump.sum() == pytest.approx(s.max() - s.min(),
+                                               rel=1e-12, abs=1e-12)
+        else:
+            assert s.max() - s.min() < 1e-9 * spec.k
 
 
 class TestFitFromPieces:

@@ -282,6 +282,28 @@ class TestStagedSearch:
         assert records[0].accuracy == records[1].accuracy
         assert records[2].accuracy == records[3].accuracy
 
+    def test_each_cell_canonicalizes_once(self, monkeypatch):
+        real = loss.canonical
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return real(spec)
+
+        # modelsel imports the name; train reaches it through the module
+        monkeypatch.setattr(modelsel, "canonical", counted)
+        monkeypatch.setattr(loss, "canonical", counted)
+        scorer = modelsel._Scorer(blob_dataset(), "holdout", folds=5)
+        cells = [("3pl", 1.0, None, (0.4, -0.4), (0.5, 0.0)),
+                 ("3pl", 1.0, None, (-0.4, 0.4), (0.0, 0.5)),
+                 ("3pl", 1.0, None, (0.0, 0.0), (1.0, 1.0))]
+        records = modelsel._run_cells(cells, scorer, jobs=1)
+        assert len(calls) == len(cells)
+        # each record keeps its cell's own parameters
+        assert [(r.taus, r.epsilons) for r in records] == [
+            (taus, eps) for _, _, _, taus, eps in cells]
+        assert records[0].accuracy == records[1].accuracy
+
 
 class TestBenchmarkRun:
     @pytest.fixture()
