@@ -4,7 +4,8 @@ The loss family is ``L(u) = max(u, -tau_1 u + eps_1, ..., -tau_{k-1} u
 + eps_{k-1})``; the hinge (all parameters zero) and the pinball
 (``eps = 0``) are its smallest members.  Training solves the dual QP of
 the regularized risk with an interior-point method that works on the
-dual's block structure (l x l factorizations per Newton step), polishes
+dual's block structure (one r x r factorization per Newton step, with
+H = WW' and r the feature count of a linear kernel), polishes
 the result with an active-set crossover, recovers the bias from the
 optimality conditions, and certifies the result via KKT residuals and
 the duality gap.  ``modelsel`` adds the staged grid

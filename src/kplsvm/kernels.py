@@ -73,13 +73,14 @@ def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
             f"feature dimensions differ: {A.shape[1]} vs {B.shape[1]}")
     if spec.kind == "linear":
         return A @ B.T
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
+    # in place, in the same order of operations as the textbook formula
+    sq = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+    AB = A @ B.T
+    AB *= 2.0
+    sq -= AB
     np.maximum(sq, 0.0, out=sq)
-    denom = 2.0 * spec.q * spec.q
-    if spec.rbf_form == "squared-distance":
-        return np.exp(-sq / denom)
-    return np.exp(-np.sqrt(sq) / denom)
+    if spec.rbf_form == "plain-distance":
+        np.sqrt(sq, out=sq)
+    np.negative(sq, out=sq)
+    sq /= 2.0 * spec.q * spec.q
+    return np.exp(sq, out=sq)

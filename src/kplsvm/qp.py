@@ -6,17 +6,20 @@ For l samples and a k-piece loss the dual is
     subject to  Az = b,  z >= 0
 
 where z stacks k blocks of length l (one multiplier block per piece),
-Q = D'(H + delta*I)D + reg*I with D = [I, -tau_1*I, ...],
-H_ij = y_i y_j k(x_i, x_j) and delta the jitter of ``gram_factor``, and
-the equalities are one global balance row y'Dz = 0 plus l per-sample
+Q = D'HD + reg*I with D = [I, -tau_1*I, ...] and H_ij = y_i y_j k(x_i, x_j),
+and the equalities are one global balance row y'Dz = 0 plus l per-sample
 simplex rows (block sums equal the per-sample cap C_i).  Block m of c
 is -(slope_m + intercept_m) of piece m (``loss.slopes``/``intercepts``).
 
+The problem holds H only as a factor W (l x r) with H = WW'.  A linear
+kernel with fewer features than samples has the exact thin factor
+W = diag(y) X; any other Gram matrix uses W = ``gram_factor(H)``, its
+jittered Cholesky factor (r = l).  Every product with H is W(W'.).
+
 ``solve`` runs a primal-dual interior-point method with Mehrotra's
 predictor-corrector steps.  Its Newton system is solved by block
-elimination (Q = cc' (x) H plus a positive diagonal), which costs two
-Cholesky factorizations of order l and l + 1 per iteration instead of
-one of order k*l + l + 1.
+elimination down to one r x r Cholesky factorization per iteration, so
+an iteration costs O(k*l + l*r^2 + r^3).
 An active-set crossover then polishes the last iterate onto an exact
 face and is kept when it lowers the residuals.
 """
@@ -45,15 +48,13 @@ __all__ = [
 class QpProblem:
     """The structured SVM dual (see module docstring)."""
 
-    H: np.ndarray                  # l x l, symmetric PSD
+    W: np.ndarray                  # l x r factor, H = W W'
     y: np.ndarray                  # l, +-1
     C: np.ndarray                  # l, positive caps
     block_coeffs: np.ndarray       # k, loss.slopes(spec)
     c: np.ndarray                  # k*l, linear cost
     b: np.ndarray                  # l+1, (0, C)
     reg: float                     # diagonal regularization of Q
-    chol_L: np.ndarray             # Cholesky factor of H + chol_delta*I
-    chol_delta: float
 
     @property
     def l(self) -> int:
@@ -76,16 +77,14 @@ class QpProblem:
         Z = z.reshape(self.k, self.l)
         return self.block_coeffs @ Z
 
+    def h_mul(self, s: np.ndarray) -> np.ndarray:
+        """H @ s = W (W' s)."""
+        return self.W @ (self.W.T @ s)
+
     def q_mul(self, z: np.ndarray) -> np.ndarray:
         """Q @ z without materializing Q."""
-        s = self.combined(z)
-        Hs = self.H @ s
-        if self.chol_delta:
-            Hs = Hs + self.chol_delta * s
-        out = np.multiply.outer(self.block_coeffs, Hs).ravel()
-        if self.reg:
-            out += self.reg * z
-        return out
+        Hs = self.h_mul(self.combined(z))
+        return np.multiply.outer(self.block_coeffs, Hs).ravel() + self.reg * z
 
     def a_mul(self, z: np.ndarray) -> np.ndarray:
         Z = z.reshape(self.k, self.l)
@@ -110,32 +109,36 @@ class QpSolution:
     mu: np.ndarray                  # bound multipliers
 
 
-def gram_factor(H: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky factor of H + delta*I with the smallest workable jitter.
+def gram_factor(H: np.ndarray) -> np.ndarray:
+    """Cholesky factor L of H + delta*I with the smallest workable jitter.
 
-    The jitter only perturbs the Newton direction, never the reported
-    residuals.
+    This is the factor W = L of a Gram matrix that has no thinner exact
+    one.  The dual then uses H + delta*I in every view (objective,
+    residuals, Newton system), so the jitter never biases a Newton
+    direction against the residuals being measured.
     """
     l = H.shape[0]
     scale = max(np.trace(H) / l, 1e-8)
     delta = 1e-12 * scale
     for _ in range(8):
         try:
-            L = np.linalg.cholesky(H + delta * np.eye(l))
-            return L, delta
+            return np.linalg.cholesky(H + delta * np.eye(l))
         except np.linalg.LinAlgError:
             delta *= 100.0
     raise InfeasibleError("Gram matrix is not positive semidefinite")
 
 
 def assemble_dual(
-    H: np.ndarray,
+    W: np.ndarray,
     y: np.ndarray,
     C: np.ndarray,
     spec: LossSpec,
     feas_tol: float = 1e-9,
 ) -> QpProblem:
     """Build the structured dual QP for one training configuration.
+
+    W is any l x r factor of the problem's H = WW' (see the module
+    docstring for the choice of W).
 
     Feasibility is certified up front: each sample's combined
     coefficient s_i ranges over C_i * [min block coeff, max block
@@ -144,12 +147,12 @@ def assemble_dual(
     class.  Raises InfeasibleError (with the gap width as certificate)
     otherwise.
     """
-    H = np.asarray(H, dtype=float)
+    W = np.asarray(W, dtype=float)
     y = np.asarray(y, dtype=float)
     C = np.asarray(C, dtype=float)
     l = y.size
-    if H.shape != (l, l) or C.size != l:
-        raise ValueError("H, y, C sizes are inconsistent")
+    if W.ndim != 2 or W.shape[0] != l or C.size != l:
+        raise ValueError("W, y, C sizes are inconsistent")
     if np.any(C <= 0):
         raise ValueError("per-sample caps must be positive")
 
@@ -167,14 +170,8 @@ def assemble_dual(
 
     c = np.repeat(-(coeffs + loss.intercepts(spec)), l)
     b = np.concatenate(([0.0], C))
-    reg = 1e-10 * np.trace(H) / l
-    # The Gram factor is computed eagerly so every view of the problem
-    # (objective, residuals, Newton system) consistently uses the same
-    # jittered H; a lazily appearing jitter would bias Newton directions
-    # against the residuals being measured.
-    chol_L, chol_delta = gram_factor(H)
-    return QpProblem(H=H, y=y, C=C, block_coeffs=coeffs, c=c, b=b, reg=reg,
-                     chol_L=chol_L, chol_delta=chol_delta)
+    reg = 1e-10 * float(np.einsum("ij,ij->", W, W)) / l    # trace(H) / l
+    return QpProblem(W=W, y=y, C=C, block_coeffs=coeffs, c=c, b=b, reg=reg)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +217,8 @@ def _interior_point(problem: QpProblem, tol: float, max_iter: int) -> QpSolution
             "primal_eq": float(np.abs(r_p).max()) / b_scale,
             "dual_stationarity": float(np.abs(r_d).max())
             / (c_scale + np.abs(qz).max()),
-            "complementarity": gap / (1.0 + abs(obj)),
+            # the largest pair, as the certificate measures it, not the mean
+            "complementarity": float((z * mu).max()) / (1.0 + abs(obj)),
         }
         if not all(np.isfinite(v) for v in res.values()):
             status = "numerical_failure"
@@ -310,7 +308,7 @@ def _crossover(problem: QpProblem, sol: QpSolution,
     """
     if not np.all(np.isfinite(sol.z)):
         return None
-    n, m = problem.n, problem.m_eq
+    m = problem.m_eq
     z0 = sol.z
     free = z0 > np.maximum(sol.mu, 0.0)
     k, l = problem.k, problem.l
@@ -365,7 +363,7 @@ def _crossover(problem: QpProblem, sol: QpSolution,
         "primal_eq": float(np.abs(r_p).max()) / b_scale,
         "dual_stationarity": float(max(0.0, -mu.min()))
         / (c_scale + np.abs(qz).max()),
-        "complementarity": float(z @ np.maximum(mu, 0.0)) / n
+        "complementarity": float((z * np.maximum(mu, 0.0)).max())
         / (1.0 + abs(obj)),
     }
     if not all(np.isfinite(v) for v in res.values()):
@@ -387,7 +385,7 @@ def _solve_face(problem: QpProblem, idx: np.ndarray):
     Qff = _q_sub(problem, idx)
     Af = _a_cols(problem, idx)
     dim = nf + m
-    K = np.zeros((dim, dim))
+    K = np.zeros((dim, dim), order="F")
     K[:nf, :nf] = Qff
     eps = 1e-12 * (1.0 + np.abs(Qff).max())
     K[:nf, :nf][np.diag_indices(nf)] += eps
@@ -395,7 +393,7 @@ def _solve_face(problem: QpProblem, idx: np.ndarray):
     K[nf:, :nf] = Af
     K[nf:, nf:][np.diag_indices(m)] -= eps
     rhs = np.concatenate((-problem.c[idx], problem.b))
-    lu = scipy.linalg.lu_factor(K, check_finite=False)
+    lu = scipy.linalg.lu_factor(K, overwrite_a=True, check_finite=False)
     x = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
     for _ in range(2):
         r1 = rhs[:nf] - (Qff @ x[:nf] + Af.T @ x[nf:])
@@ -409,14 +407,10 @@ def _solve_face(problem: QpProblem, idx: np.ndarray):
 
 
 def _q_sub(problem: QpProblem, idx: np.ndarray) -> np.ndarray:
-    si = idx % problem.l
-    cf = problem.block_coeffs[idx // problem.l]
-    Q = np.outer(cf, cf) * problem.H[np.ix_(si, si)]
-    if problem.chol_delta:
-        Q += problem.chol_delta * np.outer(cf, cf) \
-            * (si[:, None] == si[None, :])
-    if problem.reg:
-        Q[np.diag_indices(idx.size)] += problem.reg
+    Vf = problem.block_coeffs[idx // problem.l, None] \
+        * problem.W[idx % problem.l]
+    Q = Vf @ Vf.T
+    Q[np.diag_indices(idx.size)] += problem.reg
     return Q
 
 
@@ -461,58 +455,57 @@ def _factorize(problem: QpProblem, d: np.ndarray):
 
 
 def _factorize_structured(problem: QpProblem, d: np.ndarray):
-    """Block elimination using Q = cc' (x) H + reg*I.
+    """Block elimination down to one r x r Cholesky, using H = WW'.
 
     With P = reg + d (positive diagonal, viewed per block) and
-    M = Q + diag(d), the Woodbury identity reduces M^{-1} to solves
-    with K = H~^{-1} + G where G = D P^{-1} D' is diagonal and
-    H~ = LL' is the jittered Gram factor.  K^{-1} = L (I + L'GL)^{-1} L'
-    keeps everything Cholesky-friendly: I + L'GL is always well posed.
-    The equality block is then a dense (l+1) Schur complement.
+    v = W'D'dz, the first block row gives dz = P^{-1}(r1 - DWv + A'dnu).
+    The equality block T = A P^{-1} A' is an arrowhead (corner sum(g),
+    border y*t, diagonal r) and is solved in O(l).  Eliminating dnu
+    through T leaves one SPD system in v,
+
+        K = I + W' diag(Gamma) W - p p'/sigma,   p = W'(y*Gamma),
+
+    with Gamma_i = sum_m P^{-1}_mi (c_m - t_i/r_i)^2 the spread of sample
+    i's block coefficients and sigma = sum(Gamma) T's corner Schur
+    complement.  diag(Gamma) - (y*Gamma)(y*Gamma)'/sigma is PSD, so K >= I.
     """
-    L = problem.chol_L
+    W, y = problem.W, problem.y
     l, k = problem.l, problem.k
     coeffs = problem.block_coeffs
-    P = (problem.reg + d).reshape(k, l)
-    Pinv = 1.0 / P
+    pinv = 1.0 / (problem.reg + d)
+    Pinv = pinv.reshape(k, l)
 
     g = (coeffs[:, None] ** 2 * Pinv).sum(axis=0)      # D P^-1 D'
     t = (coeffs[:, None] * Pinv).sum(axis=0)           # D P^-1 E'
     r = Pinv.sum(axis=0)                               # E P^-1 E'
+    gamma = (Pinv * (coeffs[:, None] - t / r) ** 2).sum(axis=0)
+    # the shift keeps T regular when every piece has the same slope
+    sigma = gamma.sum() + 1e-12 * (1.0 + g.sum())
+    gy, yt = g * y, y * t
 
-    F = L.T @ (g[:, None] * L)
-    F[np.diag_indices(l)] += 1.0
-    F_chol = scipy.linalg.cho_factor(F, lower=True, check_finite=False)
+    def T_solve(h):
+        nu0 = (h[0] - (yt / r) @ h[1:]) / sigma
+        return np.concatenate(([nu0], (h[1:] - yt * nu0) / r))
 
-    def K_inv(X):
-        # (H~^{-1} + G)^{-1} X = L (I + L'GL)^{-1} L' X
-        return L @ scipy.linalg.cho_solve(F_chol, L.T @ X,
-                                          check_finite=False)
-
-    def M_inv(v):
-        w = v.reshape(k, l) * Pinv
-        corr = K_inv(coeffs @ w)
-        return (w - Pinv * np.multiply.outer(coeffs, corr)).ravel()
-
-    # Schur complement over [balance row; simplex rows]
-    X = np.empty((l, l + 1))
-    X[:, 0] = L.T @ (problem.y * g)
-    X[:, 1:] = L.T * t[None, :]
-    FX = scipy.linalg.cho_solve(F_chol, X, check_finite=False)
-    T = np.empty((l + 1, l + 1))
-    T[0, 0] = g.sum()
-    T[0, 1:] = problem.y * t
-    T[1:, 0] = problem.y * t
-    T[1:, 1:] = np.diag(r)
-    S_eq = T - X.T @ FX
-    S_eq[np.diag_indices(l + 1)] += 1e-12 * (1.0 + abs(T[0, 0]))
-    S_chol = scipy.linalg.cho_factor(S_eq, lower=True, check_finite=False)
+    p = W.T @ (y * gamma)
+    Wg = W * np.sqrt(gamma)[:, None]
+    K = Wg.T @ Wg
+    K -= np.outer(p, p / sigma)
+    K[np.diag_indices_from(K)] += 1.0
+    K_chol = scipy.linalg.cho_factor(K, lower=True, overwrite_a=True,
+                                     check_finite=False)
 
     def solve_kkt(r1: np.ndarray, r2: np.ndarray):
-        u = M_inv(r1)
-        dnu = scipy.linalg.cho_solve(S_chol, r2 - problem.a_mul(u),
-                                     check_finite=False)
-        dz = M_inv(r1 + problem.at_mul(dnu))
+        u = pinv * r1
+        h2 = r2 - problem.a_mul(u)
+        e = T_solve(h2)
+        v = scipy.linalg.cho_solve(
+            K_chol, W.T @ (problem.combined(u) + gy * e[0] + t * e[1:]),
+            check_finite=False)
+        Wv = W @ v
+        dnu = T_solve(h2 + np.concatenate(([gy @ Wv], t * Wv)))
+        dz = pinv * (r1 + problem.at_mul(dnu)
+                     - np.multiply.outer(coeffs, Wv).ravel())
         return dz, dnu
 
     return solve_kkt

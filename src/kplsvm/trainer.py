@@ -157,9 +157,12 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
     spec = loss.canonical(params.loss) if params.canonicalize else params.loss
     C = _class_caps(y, params.c0, params.balance_classes)
     G = kernels.gram(params.kernel, Xn)
-    H = G * np.outer(y, y)
+    if params.kernel.kind == "linear" and Xn.shape[1] < y.size:
+        W = y[:, None] * Xn         # exact: H = (yy') o (Xn Xn')
+    else:
+        W = qp.gram_factor(G * np.outer(y, y))
 
-    problem = qp.assemble_dual(H, y, C, spec)
+    problem = qp.assemble_dual(W, y, C, spec)
     try:
         sol = qp.solve(problem, tol=params.qp_tol, max_iter=params.max_iter)
     except SolverError as exc:
@@ -180,7 +183,7 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
     report = _kkt_report(sol, problem, spec, y, C, scores_wo_b, b)
 
     dual_value = -sol.objective     # maximized dual of the original problem
-    norm_w_sq = float(s @ (H @ s))
+    norm_w_sq = float(beta @ scores_wo_b)
     xi = report.xi
     primal_value = 0.5 * norm_w_sq + float(C @ xi)
     gap_rel = abs(primal_value - dual_value) / (1.0 + abs(dual_value))
@@ -295,7 +298,7 @@ def verify_kkt(sol: qp.QpSolution, problem: qp.QpProblem, spec: LossSpec,
 
 def _scores_from_combined(problem, s, y):
     # H = (y y^T) o G, so G (s o y) = y o (H s)
-    return y * (problem.H @ s)
+    return y * problem.h_mul(s)
 
 
 def reduction_equivalence(dataset, c0: float,

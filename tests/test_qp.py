@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from kplsvm import loss, qp
+from kplsvm import kernels, loss, qp
 from kplsvm.errors import InfeasibleError
 
 
 def dense_qa(problem):
     """Dense Q and A of the dual, built from its definition.
 
-    With D the (k*l, l) stack of block_coeffs[m] * I, Q = D (H + delta I)
-    D' + reg I, where delta is the Gram jitter; A stacks the balance row
-    y'D' over the l simplex rows [I, ..., I].
+    With D the (k*l, l) stack of block_coeffs[m] * I and W the factor
+    of H, Q = D (W W') D' + reg I; A stacks the balance row y'D' over the
+    l simplex rows [I, ..., I].
     """
     l, coeffs = problem.y.size, problem.block_coeffs
     D = np.kron(coeffs[:, None], np.eye(l))
-    Q = D @ (problem.H + problem.chol_delta * np.eye(l)) @ D.T
+    Q = D @ (problem.W @ problem.W.T) @ D.T
     Q += problem.reg * np.eye(Q.shape[0])
     A = np.vstack([(D @ problem.y)[None, :],
                    np.tile(np.eye(l), coeffs.size)])
@@ -65,7 +65,8 @@ def toy_dual(spec, y, C, X=None, seed=0):
     if X is None:
         X = np.random.default_rng(seed).normal(size=(y.size, 2))
     H = (X @ X.T) * np.outer(y, y)
-    return qp.assemble_dual(H, y, np.asarray(C, dtype=float), spec)
+    return qp.assemble_dual(qp.gram_factor(H), y,
+                            np.asarray(C, dtype=float), spec)
 
 
 class TestStructuredAssembly:
@@ -79,7 +80,7 @@ class TestStructuredAssembly:
         spec = loss.LossSpec(taus=(tau,), epsilons=(0.3,))
         y = np.array([1.0])
         H = np.array([[2.5]])
-        problem = qp.assemble_dual(H, y, np.array([1.0]), spec)
+        problem = qp.assemble_dual(qp.gram_factor(H), y, np.array([1.0]), spec)
         Q, _ = dense_qa(problem)
         expected = 2.5 * np.array([[1.0, -tau], [-tau, tau * tau]])
         np.testing.assert_allclose(Q - np.diag(np.diag(Q) - np.diag(expected)),
@@ -109,7 +110,7 @@ class TestStructuredAssembly:
         y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
         X = rng.normal(size=(5, 3))
         H = (X @ X.T) * np.outer(y, y)
-        problem = qp.assemble_dual(H, y, np.full(5, 2.0), spec)
+        problem = qp.assemble_dual(qp.gram_factor(H), y, np.full(5, 2.0), spec)
         z = rng.normal(size=problem.n)
         w = rng.normal(size=problem.m_eq)
         Q, A = dense_qa(problem)
@@ -118,13 +119,49 @@ class TestStructuredAssembly:
         np.testing.assert_allclose(problem.at_mul(w), A.T @ w, atol=1e-12)
 
 
+class TestNewtonFactor:
+    @pytest.mark.parametrize("k_extra", [1, 2, 3])
+    @pytest.mark.parametrize("thin", [True, False], ids=["thin", "square"])
+    def test_refined_step_solves_dense_newton_system(self, k_extra, thin):
+        # d = mu/z spans twenty decades near the end of a solve; each row's
+        # residual is measured against that row's scale (a backward error)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            l = 12
+            spec = loss.LossSpec(taus=tuple(rng.uniform(-0.9, 1.0, k_extra)),
+                                 epsilons=tuple(rng.uniform(-2, 2, k_extra)))
+            y = np.where(np.arange(l) % 2 == 0, 1.0, -1.0)
+            X = rng.normal(size=(l, 3))
+            if thin:
+                W = y[:, None] * X
+            else:
+                G = kernels.gram(kernels.KernelSpec("rbf"), X)
+                W = qp.gram_factor(G * np.outer(y, y))
+            problem = qp.assemble_dual(W, y, rng.uniform(0.5, 2.0, size=l),
+                                       spec)
+            d = 10.0 ** rng.uniform(-10, 10, size=problem.n)
+            r1 = rng.normal(size=problem.n)
+            r2 = rng.normal(size=problem.m_eq)
+            dz, dnu = qp._factorize(problem, d)(r1, r2)
+
+            Q, A = dense_qa(problem)
+            M = np.block([[Q + np.diag(d), -A.T],
+                          [A, np.zeros((problem.m_eq, problem.m_eq))]])
+            x = np.concatenate((dz, dnu))
+            rhs = np.concatenate((r1, r2))
+            res = np.abs(M @ x - rhs)
+            scale = np.abs(M).max(axis=1) * np.abs(x).max() + np.abs(rhs)
+            assert (res / scale).max() <= 1e-9
+
+
 class TestInteriorPoint:
     def test_two_point_hinge_toy(self):
         spec = loss.hinge()
         X = np.array([[-1.0], [1.0]])
         y = np.array([-1.0, 1.0])
         H = (X @ X.T) * np.outer(y, y)
-        problem = qp.assemble_dual(H, y, np.array([10.0, 10.0]), spec)
+        problem = qp.assemble_dual(qp.gram_factor(H),
+                                   y, np.array([10.0, 10.0]), spec)
         sol = qp.solve(problem)
         assert sol.status == "optimal"
         s = problem.combined(sol.z)
@@ -140,7 +177,8 @@ class TestInteriorPoint:
         X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
         H = (X @ X.T) * np.outer(y, y)
-        problem = qp.assemble_dual(H, y, np.full(4, 10.0), loss.hinge())
+        problem = qp.assemble_dual(qp.gram_factor(H),
+                                   y, np.full(4, 10.0), loss.hinge())
         sol = qp.solve(problem, tol=1e-10)
         assert sol.status == "optimal"
         alpha = sol.z[:4]
@@ -159,7 +197,7 @@ class TestInteriorPoint:
         y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
         C = np.full(6, 2.0)
         H = (X @ X.T) * np.outer(y, y)
-        problem = qp.assemble_dual(H, y, C, loss.pinball(-1.0))
+        problem = qp.assemble_dual(qp.gram_factor(H), y, C, loss.pinball(-1.0))
         sol = qp.solve(problem)
         np.testing.assert_allclose(problem.combined(sol.z), C,
                                    atol=1e-6)
@@ -181,7 +219,7 @@ class TestInteriorPoint:
         c0 = float(rng.uniform(0.5, 3.0))
         ratio = (y > 0).sum() / (y < 0).sum()
         C = np.where(y > 0, c0, ratio * c0)
-        problem = qp.assemble_dual(H, y, C, spec)
+        problem = qp.assemble_dual(qp.gram_factor(H), y, C, spec)
         sol = qp.solve(problem)
         assert sol.status == "optimal"
         assert_kkt_certificate(problem, sol)
@@ -197,7 +235,7 @@ class TestInteriorPoint:
         X = rng.normal(size=(l, 3))
         H = (X @ X.T) * np.outer(y, y)
         C = rng.uniform(0.5, 2.0, size=l)
-        problem = qp.assemble_dual(H, y, C, spec)
+        problem = qp.assemble_dual(qp.gram_factor(H), y, C, spec)
         sol = qp.solve(problem)
         assert sol.status == "optimal"
         assert_kkt_certificate(problem, sol)
@@ -210,7 +248,8 @@ class TestInteriorPoint:
         X = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
         H = (X @ X.T) * np.outer(y, y)
-        problem = qp.assemble_dual(H, y, np.full(4, 1.0), loss.hinge())
+        problem = qp.assemble_dual(qp.gram_factor(H),
+                                   y, np.full(4, 1.0), loss.hinge())
         sol = qp.solve(problem)
         assert sol.status == "optimal"
         assert_kkt_certificate(problem, sol)
