@@ -7,13 +7,17 @@ workers of the two pools contend for the same cores.  On a 2-vCPU
 machine one 3-piece train at l = 150 takes about 300 ms with the default
 pools and about 30 ms with one thread in each copy; one thread also wins
 at l = 400 and l = 800 for both kernels.  Parallelism belongs to the grid
-cells instead (``jobs=`` / ``--jobs``).
+cells instead.  An RBF search trains its cells on ``jobs`` threads,
+whose l x l factorizations release the interpreter lock; linear trains
+are bound by the lock, so linear cells run on the calling thread until
+they get a process pool (ROADMAP Open item 3).
 
 The cap goes through ``openblas_set_num_threads_local``, the thread-count
 entry point every OpenBLAS copy exports without a build prefix.  It
 returns the previous count.  In pthreads builds (OpenBLAS 0.3.31 at
 least) it sets the count of the whole process, not of the calling thread,
-so overlapping caps from several threads are reference-counted: the
+so overlapping caps from several threads (an RBF search's pool, or a
+library caller that trains on its own threads) are reference-counted: the
 first one in sets one thread and the last one out restores the saved
 counts.  Where no loaded OpenBLAS exports the entry point (MKL,
 Accelerate, an older OpenBLAS, a platform without ``/proc/self/maps``)

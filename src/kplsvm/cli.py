@@ -88,6 +88,20 @@ def _add_kernel_flags(p):
                    choices=RBF_FORMS, help="RBF formula variant")
 
 
+def _add_search_flags(p):
+    p.add_argument("--kernel", default="linear", choices=KERNEL_KINDS)
+    p.add_argument("--criterion", default="cv",
+                   choices=("cv", "holdout"))
+    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="threads for RBF grid cells; linear cells run "
+                   "in order on the calling thread")
+    p.add_argument("--c0-grid", dest="c0_grid", default=None)
+    p.add_argument("--q-grid", dest="q_grid", default=None)
+    p.add_argument("--tau-grid", dest="tau_grid", default=None)
+    p.add_argument("--eps-grid", dest="eps_grid", default=None)
+
+
 def _load(args):
     return load_dataset(args.data, fmt=args.format, label_col=args.label_col)
 
@@ -319,34 +333,18 @@ def build_parser():
                    help="split seed (default: KPLSVM_SEED or 0)")
     p.add_argument("--predefined-split", action="store_true",
                    help="first n-train rows form the training set")
-    p.add_argument("--kernel", default="linear", choices=KERNEL_KINDS)
-    p.add_argument("--criterion", default="cv",
-                   choices=("cv", "holdout"))
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--c0-grid", dest="c0_grid", default=None)
-    p.add_argument("--q-grid", dest="q_grid", default=None)
-    p.add_argument("--tau-grid", dest="tau_grid", default=None)
-    p.add_argument("--eps-grid", dest="eps_grid", default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    _add_search_flags(p)
     p.add_argument("--out", help="write per-cell records CSV")
     p.set_defaults(func=cmd_grid_search)
 
     p = sub.add_parser("bench", help="run the benchmark protocol")
     p.add_argument("--manifest", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--kernel", default="linear", choices=KERNEL_KINDS)
-    p.add_argument("--criterion", default="cv",
-                   choices=("cv", "holdout"))
-    p.add_argument("--folds", type=int, default=5)
+    _add_search_flags(p)
     p.add_argument("--replay", help="fixed-parameter table; skips the search")
     p.add_argument("--include", help="comma-separated dataset subset")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--no-timing", action="store_true",
                    help="write 0.000 times for byte-reproducible reports")
-    p.add_argument("--c0-grid", dest="c0_grid", default=None)
-    p.add_argument("--q-grid", dest="q_grid", default=None)
-    p.add_argument("--tau-grid", dest="tau_grid", default=None)
-    p.add_argument("--eps-grid", dest="eps_grid", default=None)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("loss-curve", help="tabulate (u, L(u)) as CSV")

@@ -163,7 +163,7 @@ class ManifestEntry:
     seed: int | None    # None -> predefined split (file order)
 
 
-def write_corpus(outdir, include=None, monk_seeds: dict | None = None):
+def write_corpus(outdir, include=None):
     """Write the corpus CSVs plus ``manifest.csv``; returns the entries.
 
     ``include`` limits generation to the named datasets.  Files put the
@@ -171,16 +171,13 @@ def write_corpus(outdir, include=None, monk_seeds: dict | None = None):
     """
     os.makedirs(outdir, exist_ok=True)
     entries = []
-    seeds = dict(MONK_SEEDS)
-    if monk_seeds:
-        seeds.update(monk_seeds)
     for row in CORPUS_TABLE:
         if include is not None and row.name not in include:
             continue
         fname = f"{row.name}.csv"
         path = os.path.join(outdir, fname)
         if row.monk:
-            Xtr, ytr, Xte, yte = make_monk(row.monk, seed=seeds[row.monk])
+            Xtr, ytr, Xte, yte = make_monk(row.monk)
             X = np.vstack([Xtr, Xte])
             y01 = np.concatenate([ytr, yte])
             seed_field: int | None = None

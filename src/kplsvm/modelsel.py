@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import csv
 import os
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +136,8 @@ class _Scorer:
     pieces, the tau=0 pinball cell vs. plain hinge) canonicalize to the
     same training problem, so their criterion values are shared —
     which also makes the nested-family dominance of the report exact.
+    The scorer holds no lock: ``_run_cells`` never scores one key on
+    two threads at once.
     """
 
     def __init__(self, dataset, criterion, folds, balance=True):
@@ -148,37 +149,24 @@ class _Scorer:
         self.folds = folds
         self.balance = balance
         self._cache = {}
-        self._lock = threading.Lock()
 
     def score(self, spec, c0, kspec):
         """(accuracy | None, error | None, seconds) for one config.
 
-        The cache key is the canonical spec, which is also what gets
-        trained.  The first caller of a key trains it; a later or
-        concurrent caller waits for that result and reports 0.0 seconds.
+        ``spec`` is canonical: it is both the cache key and what gets
+        trained.  The first call of a key trains it and reports its
+        time; a later call reads the cached result and reports 0.0.
         """
-        spec = canonical(spec)
-        k = (spec.taus, spec.epsilons, c0, kspec.kind, kspec.q,
-             kspec.rbf_form)
-        with self._lock:
-            result = self._cache.get(k)
-            owner = result is None
-            if owner:
-                result = self._cache[k] = Future()
-        if not owner:
-            acc, err = result.result()
-            return acc, err, 0.0
+        k = _key(spec, c0, kspec)
+        if k in self._cache:
+            return self._cache[k] + (0.0,)
         t0 = time.perf_counter()
         try:
             acc, err = self._score_uncached(spec, c0, kspec), None
         except KplsvmError as exc:
-            acc, err = None, f"{type(exc).__name__}: {exc}"
-        except BaseException as exc:
-            result.set_exception(exc)
-            raise
-        dt = time.perf_counter() - t0
-        result.set_result((acc, err))
-        return acc, err, dt
+            acc, err = None, _error_text(exc)
+        self._cache[k] = acc, err
+        return acc, err, time.perf_counter() - t0
 
     def _score_uncached(self, spec, c0, kspec):
         params = TrainParams(loss=spec, c0=c0, kernel=kspec,
@@ -233,19 +221,46 @@ def _kernel_for(kernel_kind, q):
     return KernelSpec(kind="rbf", q=1.0 if q is None else q)
 
 
-def _run_cells(cells, scorer, jobs):
-    """Evaluate (family, c0, q, taus, eps) cells; order-preserving."""
-    def one(cell):
-        family, c0, q, taus, eps = cell
-        kspec = _kernel_for("linear" if q is None else "rbf", q)
-        spec = LossSpec(taus=taus, epsilons=eps)
-        acc, err, dt = scorer.score(spec, c0, kspec)
-        return CellRecord(family, c0, q, taus, eps, acc, dt, err)
+def _error_text(exc):
+    return f"{type(exc).__name__}: {exc}"
 
-    if jobs > 1:
+
+def _key(spec, c0, kspec):
+    return (spec.taus, spec.epsilons, c0, kspec.kind, kspec.q,
+            kspec.rbf_form)
+
+
+def _run_cells(cells, scorer, kernel_kind, jobs=1):
+    """Score (family, c0, q, taus, eps) cells; one record each, in order.
+
+    The first cell of a canonical key in grid order trains it and keeps
+    its time; later ones read 0.0 s.  A cell whose loss cannot be built
+    is recorded with its error.  With the RBF kernel those first cells
+    train on ``jobs`` threads, as l x l factorizations release the
+    interpreter lock; linear trains hold it, so they run on this thread.
+    """
+    configs, first = [], {}
+    for i, (_, c0, q, taus, eps) in enumerate(cells):
+        try:
+            spec = canonical(LossSpec(taus=taus, epsilons=eps))
+        except KplsvmError as exc:
+            configs.append(_error_text(exc))
+            continue
+        configs.append((spec, c0, _kernel_for(kernel_kind, q)))
+        first.setdefault(_key(*configs[-1]), i)
+    pooled = {}
+    if kernel_kind == "rbf" and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, cells))
-    return [one(c) for c in cells]
+            pooled = dict(zip(first.values(), pool.map(
+                lambda i: scorer.score(*configs[i]), first.values())))
+    records = []
+    for i, (cell, cfg) in enumerate(zip(cells, configs)):
+        if isinstance(cfg, str):
+            acc, err, dt = None, cfg, 0.0
+        else:
+            acc, err, dt = pooled[i] if i in pooled else scorer.score(*cfg)
+        records.append(CellRecord(*cell, acc, dt, err))
+    return records
 
 
 def _pick_best(records):
@@ -272,6 +287,9 @@ def staged_search(dataset, kernel_kind="linear", grids=None,
     With ``grids.staged`` false every family searches the full joint
     (C0[, q], loss-parameter) product instead of reusing the stage-1
     pair; the hinge-family optimum still defines ``chosen_c0``/``chosen_q``.
+
+    RBF cells train on ``jobs`` threads, linear cells on the calling
+    thread at every ``jobs`` (see ``_run_cells``).
     """
     if kernel_kind not in ("linear", "rbf"):
         raise DataError(f"kernel_kind must be linear or rbf, got {kernel_kind!r}")
@@ -297,7 +315,7 @@ def staged_search(dataset, kernel_kind="linear", grids=None,
 
     # Stage 1: hinge over (C0[, q]).
     stage1 = _run_cells(cells_for("hinge", grids.c0_grid, q_values),
-                        scorer, jobs)
+                        scorer, kernel_kind, jobs)
     records.extend(stage1)
     best["hinge"] = _pick_best(stage1)
     if best["hinge"] is None:
@@ -311,7 +329,8 @@ def staged_search(dataset, kernel_kind="linear", grids=None,
     else:
         c0s, qs = grids.c0_grid, q_values
     for family in ("pinball", "2pl", "3pl"):
-        cells = _run_cells(cells_for(family, c0s, qs), scorer, jobs)
+        cells = _run_cells(cells_for(family, c0s, qs), scorer, kernel_kind,
+                           jobs)
         records.extend(cells)
         best[family] = _pick_best(cells)
     best[EXTERNAL_SLOT] = None
@@ -414,24 +433,14 @@ def _load_replay_table(path):
 
 
 def _replay_dataset(dataset, rows, kernel_kind, balance=True):
-    """Train fixed tuples; returns a GridSearchReport in replay shape."""
-    tr, te = dataset.split
-    records, best = [], {}
-    for fam, c0, q, taus, eps in rows:
-        kspec = _kernel_for(kernel_kind, q)
-        t0 = time.perf_counter()
-        try:
-            params = TrainParams(loss=LossSpec(taus=taus, epsilons=eps),
-                                 c0=c0, kernel=kspec, balance_classes=balance)
-            model = train(dataset.X[tr], dataset.y[tr], params)
-            acc, err = evaluate(model, dataset.X[te], dataset.y[te]), None
-        except KplsvmError as exc:
-            acc, err = None, f"{type(exc).__name__}: {exc}"
-        rec = CellRecord(fam, c0, q, taus, eps, acc,
-                         time.perf_counter() - t0, err)
-        records.append(rec)
-        best[fam] = rec
-    best.setdefault(EXTERNAL_SLOT, None)
+    """Score fixed tuples on the held-out split, in replay report shape.
+
+    Each family's best is its last row in the table.
+    """
+    scorer = _Scorer(dataset, "holdout", folds=None, balance=balance)
+    records = _run_cells(rows, scorer, kernel_kind)
+    best = {rec.family: rec for rec in records}
+    best[EXTERNAL_SLOT] = None
     return GridSearchReport(dataset=dataset.name, kernel_kind=kernel_kind,
                             criterion="replay", chosen_c0=None, chosen_q=None,
                             records=records, best=best)
@@ -443,9 +452,10 @@ def benchmark_run(manifest, outdir, grids=None, kernel_kind="linear",
     """Search (or replay) every manifest dataset and write report CSVs.
 
     ``replay`` is a fixed-parameter table path; when given, the grid
-    search is skipped and each listed tuple is trained directly.
-    Missing or unreadable datasets produce a warning row and the run
-    continues.  Returns ``{"consolidated": path, "datasets": {name: path},
+    search is skipped and each listed tuple is trained directly, one
+    training per canonical key as in the search, on the calling thread.
+    ``jobs`` goes to ``staged_search``.  Missing or unreadable datasets
+    produce a warning row and the run continues.  Returns ``{"consolidated": path, "datasets": {name: path},
     "warnings": [...]}``.  With ``timing=False`` every time field is
     written as 0.000 so that repeated runs are byte-identical.
     """

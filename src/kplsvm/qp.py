@@ -43,6 +43,9 @@ __all__ = [
     "solve",
 ]
 
+# Relative slack allowed on the balance row's attainable-interval test.
+_FEAS_TOL = 1e-9
+
 
 @dataclass
 class QpProblem:
@@ -133,7 +136,6 @@ def assemble_dual(
     y: np.ndarray,
     C: np.ndarray,
     spec: LossSpec,
-    feas_tol: float = 1e-9,
 ) -> QpProblem:
     """Build the structured dual QP for one training configuration.
 
@@ -162,7 +164,7 @@ def assemble_dual(
     neg_total = float(C[y < 0].sum())
     gap = max(lo * pos_total - hi * neg_total,
               lo * neg_total - hi * pos_total)
-    if gap > feas_tol * (1.0 + pos_total + neg_total):
+    if gap > _FEAS_TOL * (1.0 + pos_total + neg_total):
         raise InfeasibleError(
             "balance row unattainable for this loss/cap combination",
             certificate=float(gap),

@@ -54,6 +54,9 @@ class TrainParams:
             raise TrainingError(f"c0 must be positive, got {self.c0}")
         if not self.qp_tol > 0:
             raise TrainingError("qp_tol must be positive")
+        if not self.max_iter >= 1:
+            raise TrainingError(
+                f"max_iter must be at least 1, got {self.max_iter}")
         if not 0 < self.active_threshold < 1:
             raise TrainingError("active_threshold must lie in (0, 1)")
         if self.loss.k < 2:

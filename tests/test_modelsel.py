@@ -2,7 +2,6 @@
 
 import collections
 import os
-import sys
 import threading
 import time
 
@@ -216,14 +215,15 @@ class TestStagedSearch:
         assert all(r.q == rep.chosen_q for r in stage2)
 
     def test_jobs_do_not_change_results(self):
-        a = staged_search(blob_dataset(), "linear", TINY,
-                          criterion="holdout", jobs=1)
-        b = staged_search(blob_dataset(), "linear", TINY,
-                          criterion="holdout", jobs=2)
-        assert [(r.family, r.c0, r.taus, r.epsilons, r.accuracy)
-                for r in a.records] == \
-               [(r.family, r.c0, r.taus, r.epsilons, r.accuracy)
-                for r in b.records]
+        # RBF cells train on jobs threads, linear cells on the caller's
+        for kernel_kind in ("linear", "rbf"):
+            a, b = (staged_search(blob_dataset(), kernel_kind, TINY,
+                                  criterion="holdout", jobs=jobs)
+                    for jobs in (1, 2))
+            assert [(r.family, r.c0, r.q, r.taus, r.epsilons, r.accuracy,
+                     r.time_s == 0.0) for r in a.records] == \
+                   [(r.family, r.c0, r.q, r.taus, r.epsilons, r.accuracy,
+                     r.time_s == 0.0) for r in b.records]
 
     def test_unstaged_search_spans_joint_grid(self):
         grids = GridSpec(c0_grid=(0.125, 1.0), q_grid=(1.0,),
@@ -253,34 +253,33 @@ class TestStagedSearch:
 
     def test_concurrent_duplicates_train_once(self, monkeypatch):
         real = modelsel.train
-        trains = collections.Counter()
         lock = threading.Lock()
 
         def slow(X, y, params):
             canon = loss.canonical(params.loss)
             with lock:
                 trains[canon.taus, canon.epsilons, params.c0] += 1
-            time.sleep(0.05)    # keeps the key in flight for its twin
+            time.sleep(0.05)    # keeps the key in flight for its twins
             return real(X, y, params)
 
         monkeypatch.setattr(modelsel, "train", slow)
-        scorer = modelsel._Scorer(blob_dataset(), "holdout", folds=5)
         # each pair below canonicalizes to one training problem
         cells = [("hinge", 1.0, None, (0.0,), (0.0,)),
                  ("3pl", 1.0, None, (0.0, 0.0), (0.0, 0.0)),
                  ("3pl", 1.0, None, (0.4, -0.4), (0.5, 0.0)),
                  ("3pl", 1.0, None, (-0.4, 0.4), (0.0, 0.5))] * 3
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            records = modelsel._run_cells(cells, scorer, jobs=2)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(trains) == 2
-        assert set(trains.values()) == {1}
-        assert sum(r.time_s == 0.0 for r in records) == len(cells) - 2
-        assert records[0].accuracy == records[1].accuracy
-        assert records[2].accuracy == records[3].accuracy
+        # RBF cells train on a pool of jobs threads, linear ones serially
+        for kernel_kind in ("rbf", "linear"):
+            trains = collections.Counter()
+            scorer = modelsel._Scorer(blob_dataset(), "holdout", folds=5)
+            records = modelsel._run_cells(cells, scorer, kernel_kind, jobs=2)
+            assert len(trains) == 2
+            assert set(trains.values()) == {1}
+            # the first cell of each key in grid order holds the time
+            assert [i for i, r in enumerate(records)
+                    if r.time_s != 0.0] == [0, 2]
+            assert records[0].accuracy == records[1].accuracy
+            assert records[2].accuracy == records[3].accuracy
 
     def test_each_cell_canonicalizes_once(self, monkeypatch):
         real = loss.canonical
@@ -297,7 +296,7 @@ class TestStagedSearch:
         cells = [("3pl", 1.0, None, (0.4, -0.4), (0.5, 0.0)),
                  ("3pl", 1.0, None, (-0.4, 0.4), (0.0, 0.5)),
                  ("3pl", 1.0, None, (0.0, 0.0), (1.0, 1.0))]
-        records = modelsel._run_cells(cells, scorer, jobs=1)
+        records = modelsel._run_cells(cells, scorer, "linear")
         assert len(calls) == len(cells)
         # each record keeps its cell's own parameters
         assert [(r.taus, r.epsilons) for r in records] == [
@@ -388,3 +387,41 @@ class TestBenchmarkRun:
             "monk3,quartic,1,,,,,\n", encoding="utf-8")
         with pytest.raises(DataError, match="family"):
             benchmark_run(corpus / "manifest.csv", tmp_path / "rep", replay=rp2)
+
+    def test_replay_records_failed_rows_and_goes_on(self, tmp_path):
+        rp = tmp_path / "replay.csv"
+        rp.write_text(
+            "dataset,family,c0,q,tau1,tau2,eps1,eps2\n"
+            "blob,hinge,1,,,,,\n"
+            "blob,pinball,1,,nan,,,\n"
+            "blob,2pl,-1,,0.4,,0.5,\n"
+            "blob,3pl,1,,-0.4,0.4,0.5,0\n", encoding="utf-8")
+        rows = modelsel._load_replay_table(rp)["blob"]
+        rep = modelsel._replay_dataset(blob_dataset(), rows, "linear")
+        hinge, pinball, two, three = rep.records
+        assert pinball.accuracy is None
+        assert pinball.error.startswith("RepresentationError")
+        assert two.accuracy is None
+        assert two.error.startswith("TrainingError") and "c0" in two.error
+        for rec in (hinge, three):
+            assert rec.error is None and rec.accuracy is not None
+        # each family's best is its last row, failed or not
+        assert rep.best["pinball"] is pinball and rep.best["3pl"] is three
+
+    def test_replay_trains_each_canonical_key_once(self, monkeypatch):
+        real = modelsel.train
+        calls = []
+
+        def counted(X, y, params):
+            calls.append(params)
+            return real(X, y, params)
+
+        monkeypatch.setattr(modelsel, "train", counted)
+        # the pinball loss at tau = 0 is the hinge loss
+        rows = [("hinge", 1.0, None, (0.0,), (0.0,)),
+                ("pinball", 1.0, None, (0.0,), (0.0,))]
+        rep = modelsel._replay_dataset(blob_dataset(), rows, "linear")
+        assert len(calls) == 1
+        hinge, pinball = rep.records
+        assert pinball.accuracy == hinge.accuracy
+        assert pinball.time_s == 0.0

@@ -85,7 +85,7 @@ class TestBlasThreadCap:
         with ThreadPoolExecutor(max_workers=1) as pool:
             pool.submit(train, X, y, params).result(timeout=60)
         assert blas.thread_counts() == two_threads
-        # overlapping trains, as modelsel runs them with jobs > 1: every
+        # overlapping trains, as an RBF search with jobs > 1 runs them: every
         # solve still sees one thread and the last one out restores
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -113,6 +113,12 @@ class TestParamsValidation:
     def test_qp_tol_positive(self):
         with pytest.raises(TrainingError):
             TrainParams(loss=loss.hinge(), c0=1.0, qp_tol=0.0)
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_max_iter_at_least_one(self, bad):
+        # no iteration would leave the solver without an iterate to return
+        with pytest.raises(TrainingError, match="max_iter"):
+            TrainParams(loss=loss.hinge(), c0=1.0, max_iter=bad)
 
     def test_identity_only_loss_rejected(self):
         with pytest.raises(TrainingError):
