@@ -69,11 +69,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.y.size
 
-    def subset(self, idx, name_suffix: str = "") -> "Dataset":
-        return Dataset(self.X[idx], self.y[idx],
-                       name=self.name + name_suffix,
-                       label_map=self.label_map)
-
 
 def _map_labels(raw_labels: list) -> tuple[np.ndarray, dict]:
     """Deterministically remap two raw label values onto -1/+1.
@@ -104,29 +99,23 @@ def _parse_label(tok: str):
         return tok
 
 
-def load_csv(path, label_col: int = 0, header: str = "auto",
-             name: str | None = None) -> Dataset:
+def load_csv(path, label_col: int = 0, name: str | None = None) -> Dataset:
     """Load a delimited text file.
 
-    ``header`` is "auto" (skip the first row when any field of it is
-    non-numeric), "none", or "skip".  Malformed rows raise DataError
-    with the offending line number.
+    The first row is a header, and skipped, when any feature field of it
+    is non-numeric.  Malformed rows raise DataError with the offending
+    line number.
     """
-    rows: list[list[str]] = []
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh]
     lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
     if not lines:
         raise DataError(f"{path}: empty file")
-    start = 0
-    if header == "skip":
-        start = 1
-    elif header == "auto":
-        first = [t.strip() for t in lines[0][1].split(",")]
-        lc0 = label_col % len(first) if -len(first) <= label_col < len(first) \
-            else None
-        if any(not _is_number(tok) for j, tok in enumerate(first) if j != lc0):
-            start = 1
+    first = [t.strip() for t in lines[0][1].split(",")]
+    lc0 = label_col % len(first) if -len(first) <= label_col < len(first) \
+        else None
+    start = int(any(not _is_number(tok)
+                    for j, tok in enumerate(first) if j != lc0))
     width = None
     labels, feats = [], []
     for lineno, ln in lines[start:]:

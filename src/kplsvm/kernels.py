@@ -58,10 +58,14 @@ def kernel_value(spec: KernelSpec, x, y) -> float:
 
 
 def gram(spec: KernelSpec, X) -> np.ndarray:
-    """Symmetric Gram matrix of one sample set."""
+    """Gram matrix of one sample set.
+
+    It is exactly symmetric: the product X X' is formed as one
+    symmetric rank-k update, and the RBF forms add the squared norms
+    symmetrically.
+    """
     X = _as_2d(X)
-    G = cross_gram(spec, X, X)
-    return 0.5 * (G + G.T)
+    return cross_gram(spec, X, X)
 
 
 def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:

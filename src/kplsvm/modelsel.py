@@ -10,6 +10,7 @@ The report generator writes per-dataset and consolidated CSV tables.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,10 +40,21 @@ __all__ = [
 REPORT_COLUMNS = ("dataset", "family", "accuracy", "time_s", "c0", "q",
                   "tau1", "tau2", "eps1", "eps2", "criterion")
 
-#: Families searched in stage 2, in nesting order.  "hinge" rows come from
-#: stage 1.  The LS-SVM comparison column of the published tables uses a
-#: different solver family; reports keep an external slot for it instead.
-FAMILIES = ("hinge", "pinball", "2pl", "3pl")
+#: Each loss family, in nesting order, with the report columns it leaves
+#: free; a slot it does not list is 0.0.  Grid cells, report columns and
+#: replay rows are all read from this table.
+FAMILY_PARAMS = {
+    "hinge": (),
+    "pinball": ("tau1",),
+    "2pl": ("tau1", "eps1"),
+    "3pl": ("tau1", "tau2", "eps1", "eps2"),
+}
+_SLOTS = ("tau1", "tau2", "eps1", "eps2")
+
+#: "hinge" rows come from stage 1, the others from stage 2.  The LS-SVM
+#: comparison column of the published tables uses a different solver
+#: family; reports keep an external slot for it instead.
+FAMILIES = tuple(FAMILY_PARAMS)
 EXTERNAL_SLOT = "ls-svm-external"
 
 
@@ -63,7 +75,6 @@ class GridSpec:
     q_grid: tuple = field(default_factory=_power_grid)
     tau_grid: tuple = field(default_factory=lambda: _step_grid(-1.0, 1.0, 0.2))
     eps_grid: tuple = field(default_factory=lambda: _step_grid(-5.0, 5.0, 0.5))
-    staged: bool = True
 
     def __post_init__(self):
         for name in ("c0_grid", "q_grid", "tau_grid", "eps_grid"):
@@ -140,14 +151,13 @@ class _Scorer:
     two threads at once.
     """
 
-    def __init__(self, dataset, criterion, folds, balance=True):
+    def __init__(self, dataset, criterion, folds):
         if dataset.split is None:
             raise DataError("staged_search requires a dataset with a split")
         self.X, self.y = dataset.X, dataset.y
         self.tr, self.te = dataset.split
         self.criterion = criterion
         self.folds = folds
-        self.balance = balance
         self._cache = {}
 
     def score(self, spec, c0, kspec):
@@ -170,7 +180,6 @@ class _Scorer:
 
     def _score_uncached(self, spec, c0, kspec):
         params = TrainParams(loss=spec, c0=c0, kernel=kspec,
-                             balance_classes=self.balance,
                              canonicalize=False)
         if self.criterion == "holdout":
             model = train(self.X[self.tr], self.y[self.tr], params)
@@ -193,25 +202,26 @@ class _Scorer:
         return round(100.0 * correct / total, 3)
 
 
+def _loss_params(family, values):
+    """(taus, eps) of ``family``: free slots from ``values``, others 0.0."""
+    free = FAMILY_PARAMS[family]
+    t1, t2, e1, e2 = (values[s] if s in free else 0.0 for s in _SLOTS)
+    return ((t1, t2), (e1, e2)) if "tau2" in free else ((t1,), (e1,))
+
+
 def _family_params(family, grids):
-    """Loss-parameter tuples of one family, in ascending grid order."""
-    if family == "hinge":
-        yield (0.0,), (0.0,)
-    elif family == "pinball":
-        for t in grids.tau_grid:
-            yield (t,), (0.0,)
-    elif family == "2pl":
-        for t in grids.tau_grid:
-            for e in grids.eps_grid:
-                yield (t,), (e,)
-    elif family == "3pl":
-        for t1 in grids.tau_grid:
-            for t2 in grids.tau_grid:
-                for e1 in grids.eps_grid:
-                    for e2 in grids.eps_grid:
-                        yield (t1, t2), (e1, e2)
-    else:
+    """Loss-parameter tuples of one family, in ascending grid order.
+
+    The free slots nest in ``FAMILY_PARAMS`` order (for the 3-piece
+    loss tau1, then tau2, eps1, eps2).
+    """
+    if family not in FAMILY_PARAMS:
         raise DataError(f"unknown family {family!r}")
+    free = FAMILY_PARAMS[family]
+    axes = [grids.tau_grid if s.startswith("tau") else grids.eps_grid
+            for s in free]
+    for values in itertools.product(*axes):
+        yield _loss_params(family, dict(zip(free, values)))
 
 
 def _kernel_for(kernel_kind, q):
@@ -275,18 +285,13 @@ def _pick_best(records):
 
 
 def staged_search(dataset, kernel_kind="linear", grids=None,
-                  criterion="cv", folds=5, jobs=1,
-                  balance=True) -> GridSearchReport:
+                  criterion="cv", folds=5, jobs=1) -> GridSearchReport:
     """Run the two-stage protocol on a split dataset.
 
     ``criterion`` is "holdout" (held-out test accuracy, the
     published tuning protocol) or "cv" (stratified ``folds``-fold
     cross-validation on the training split).  Cells that fail to train
     are recorded with their error and skipped by the arg-max.
-
-    With ``grids.staged`` false every family searches the full joint
-    (C0[, q], loss-parameter) product instead of reusing the stage-1
-    pair; the hinge-family optimum still defines ``chosen_c0``/``chosen_q``.
 
     RBF cells train on ``jobs`` threads, linear cells on the calling
     thread at every ``jobs`` (see ``_run_cells``).
@@ -298,18 +303,14 @@ def staged_search(dataset, kernel_kind="linear", grids=None,
     if folds < 2:
         raise DataError("folds must be >= 2")
     grids = grids or GridSpec()
-    scorer = _Scorer(dataset, criterion, folds, balance=balance)
+    scorer = _Scorer(dataset, criterion, folds)
     crit_label = "holdout" if criterion == "holdout" else f"cv{folds}"
 
     q_values = grids.q_grid if kernel_kind == "rbf" else (None,)
 
     def cells_for(family, c0s, qs):
-        out = []
-        for c0 in c0s:
-            for q in qs:
-                for taus, eps in _family_params(family, grids):
-                    out.append((family, c0, q, taus, eps))
-        return out
+        return [(family, c0, q, taus, eps) for c0 in c0s for q in qs
+                for taus, eps in _family_params(family, grids)]
 
     records, best = [], {}
 
@@ -322,15 +323,10 @@ def staged_search(dataset, kernel_kind="linear", grids=None,
         raise DataError(f"stage 1 failed on every grid cell for {dataset.name!r}")
     chosen_c0, chosen_q = best["hinge"].c0, best["hinge"].q
 
-    # Stage 2: richer families at the stage-1 pair (or the full joint
-    # product when staged search is disabled).
-    if grids.staged:
-        c0s, qs = (chosen_c0,), (chosen_q,)
-    else:
-        c0s, qs = grids.c0_grid, q_values
-    for family in ("pinball", "2pl", "3pl"):
-        cells = _run_cells(cells_for(family, c0s, qs), scorer, kernel_kind,
-                           jobs)
+    # Stage 2: richer families at the stage-1 pair.
+    for family in FAMILIES[1:]:
+        cells = _run_cells(cells_for(family, (chosen_c0,), (chosen_q,)),
+                           scorer, kernel_kind, jobs)
         records.extend(cells)
         best[family] = _pick_best(cells)
     best[EXTERNAL_SLOT] = None
@@ -348,26 +344,23 @@ def _fmt(v):
     return "" if v is None else repr(float(v))
 
 
-def _param_fields(family, rec):
+def _param_fields(rec):
     """(c0, q, tau1, tau2, eps1, eps2) strings; only free params shown."""
-    taus, eps = rec.taus, rec.epsilons
-    t1 = t2 = e1 = e2 = ""
-    if family == "pinball":
-        t1 = _fmt(taus[0])
-    elif family == "2pl":
-        t1, e1 = _fmt(taus[0]), _fmt(eps[0])
-    elif family == "3pl":
-        t1, t2 = _fmt(taus[0]), _fmt(taus[1])
-        e1, e2 = _fmt(eps[0]), _fmt(eps[1])
-    return (_fmt(rec.c0), _fmt(rec.q), t1, t2, e1, e2)
+    values = dict(zip(("tau1", "tau2"), rec.taus))
+    values.update(zip(("eps1", "eps2"), rec.epsilons))
+    free = FAMILY_PARAMS[rec.family]
+    return (_fmt(rec.c0), _fmt(rec.q)) + tuple(
+        _fmt(values[s]) if s in free else "" for s in _SLOTS)
 
 
-def _acc_str(acc):
-    return "" if acc is None else f"{acc:.3f}"
-
-
-def _time_str(t, timing):
-    return f"{t:.3f}" if timing else "0.000"
+def _report_row(dataset_name, family, criterion, rec=None, timing=False):
+    """One ``REPORT_COLUMNS`` row; without a record its values are blank."""
+    if rec is None:
+        return (dataset_name, family) + ("",) * 8 + (criterion,)
+    return ((dataset_name, family,
+             "" if rec.accuracy is None else f"{rec.accuracy:.3f}",
+             f"{rec.time_s:.3f}" if timing else "0.000")
+            + _param_fields(rec) + (criterion,))
 
 
 def _open_csv(path):
@@ -379,23 +372,15 @@ def _write_records_csv(path, dataset_name, criterion, records, timing):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(REPORT_COLUMNS + ("error",))
         for rec in records:
-            w.writerow((dataset_name, rec.family, _acc_str(rec.accuracy),
-                        _time_str(rec.time_s, timing))
-                       + _param_fields(rec.family, rec)
-                       + (criterion, rec.error or ""))
+            w.writerow(_report_row(dataset_name, rec.family, criterion, rec,
+                                   timing) + (rec.error or "",))
 
 
 def _consolidated_rows(report, timing):
-    rows = []
-    for family in FAMILIES:
-        rec = report.best.get(family)
-        if rec is None:
-            continue
-        rows.append((report.dataset, family, _acc_str(rec.accuracy),
-                     _time_str(rec.time_s, timing))
-                    + _param_fields(family, rec) + (report.criterion,))
-    rows.append((report.dataset, EXTERNAL_SLOT, "", "", "", "", "", "", "",
-                 "", "external"))
+    rows = [_report_row(report.dataset, family, report.criterion,
+                        report.best[family], timing)
+            for family in FAMILIES if report.best.get(family) is not None]
+    rows.append(_report_row(report.dataset, EXTERNAL_SLOT, "external"))
     return rows
 
 
@@ -403,41 +388,36 @@ def _load_replay_table(path):
     """Replay rows: dataset -> [(family, c0, q, taus, eps)] in file order."""
     table = {}
     with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        need = {"dataset", "family", "c0", "q", "tau1", "tau2", "eps1", "eps2"}
+        # a row with fewer fields than the header reads the rest as blank
+        reader = csv.DictReader(fh, restval="")
+        need = {"dataset", "family", "c0", "q", *_SLOTS}
         if reader.fieldnames is None or not need <= set(reader.fieldnames):
             raise DataError(f"{path}: replay table needs columns {sorted(need)}")
         for lineno, row in enumerate(reader, 2):
             fam = row["family"].strip()
-            if fam not in FAMILIES:
+            if fam not in FAMILY_PARAMS:
                 raise DataError(f"{path}:{lineno}: unknown family {fam!r}")
             try:
                 c0 = float(row["c0"])
                 q = float(row["q"]) if row["q"].strip() else None
-                vals = {k: float(row[k]) for k in ("tau1", "tau2", "eps1", "eps2")
-                        if row[k].strip()}
+                vals = {k: float(row[k]) for k in _SLOTS if row[k].strip()}
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad number: {exc}") from exc
-            if fam == "hinge":
-                taus, eps = (0.0,), (0.0,)
-            elif fam == "pinball":
-                taus, eps = (vals["tau1"],), (0.0,)
-            elif fam == "2pl":
-                taus, eps = (vals["tau1"],), (vals["eps1"],)
-            else:
-                taus = (vals["tau1"], vals["tau2"])
-                eps = (vals["eps1"], vals["eps2"])
+            missing = [k for k in FAMILY_PARAMS[fam] if k not in vals]
+            if missing:
+                raise DataError(
+                    f"{path}:{lineno}: {fam} needs {', '.join(missing)}")
             table.setdefault(row["dataset"].strip(), []).append(
-                (fam, c0, q, taus, eps))
+                (fam, c0, q) + _loss_params(fam, vals))
     return table
 
 
-def _replay_dataset(dataset, rows, kernel_kind, balance=True):
+def _replay_dataset(dataset, rows, kernel_kind):
     """Score fixed tuples on the held-out split, in replay report shape.
 
     Each family's best is its last row in the table.
     """
-    scorer = _Scorer(dataset, "holdout", folds=None, balance=balance)
+    scorer = _Scorer(dataset, "holdout", folds=None)
     records = _run_cells(rows, scorer, kernel_kind)
     best = {rec.family: rec for rec in records}
     best[EXTERNAL_SLOT] = None
@@ -455,9 +435,10 @@ def benchmark_run(manifest, outdir, grids=None, kernel_kind="linear",
     search is skipped and each listed tuple is trained directly, one
     training per canonical key as in the search, on the calling thread.
     ``jobs`` goes to ``staged_search``.  Missing or unreadable datasets
-    produce a warning row and the run continues.  Returns ``{"consolidated": path, "datasets": {name: path},
-    "warnings": [...]}``.  With ``timing=False`` every time field is
-    written as 0.000 so that repeated runs are byte-identical.
+    produce a warning row and the run continues.  Returns
+    ``{"consolidated": path, "datasets": {name: path}, "warnings": [...]}``.
+    With ``timing=False`` every time field is written as 0.000 so that
+    repeated runs are byte-identical.
     """
     entries = load_manifest(manifest)
     base_dir = os.path.dirname(os.path.abspath(manifest))
@@ -473,16 +454,14 @@ def benchmark_run(manifest, outdir, grids=None, kernel_kind="linear",
         except (OSError, KplsvmError) as exc:
             msg = f"skipped: {exc}"
             warnings.append(f"{entry.name}: {msg}")
-            rows.append((entry.name, "warning", "", "", "", "", "", "", "",
-                         "", msg))
+            rows.append(_report_row(entry.name, "warning", msg))
             continue
         if replay_table is not None:
             fixed = replay_table.get(entry.name, [])
             if not fixed:
                 msg = "skipped: no replay parameters"
                 warnings.append(f"{entry.name}: {msg}")
-                rows.append((entry.name, "warning", "", "", "", "", "", "",
-                             "", "", msg))
+                rows.append(_report_row(entry.name, "warning", msg))
                 continue
             report = _replay_dataset(ds, fixed, kernel_kind)
         else:

@@ -11,10 +11,11 @@ and the equalities are one global balance row y'Dz = 0 plus l per-sample
 simplex rows (block sums equal the per-sample cap C_i).  Block m of c
 is -(slope_m + intercept_m) of piece m (``loss.slopes``/``intercepts``).
 
-The problem holds H only as a factor W (l x r) with H = WW'.  A linear
-kernel with fewer features than samples has the exact thin factor
-W = diag(y) X; any other Gram matrix uses W = ``gram_factor(H)``, its
-jittered Cholesky factor (r = l).  Every product with H is W(W'.).
+The problem holds H only as a factor W (l x r) with H = WW' and
+W = diag(y) F, where FF' = G is the Gram matrix.  A linear kernel with
+fewer features than samples has the exact thin factor F = X; any other
+Gram matrix uses F = ``gram_factor(G)``, its jittered Cholesky factor
+(r = l).  Every product with H is W(W'.).
 
 ``solve`` runs a primal-dual interior-point method with Mehrotra's
 predictor-corrector steps.  Its Newton system is solved by block
@@ -112,20 +113,20 @@ class QpSolution:
     mu: np.ndarray                  # bound multipliers
 
 
-def gram_factor(H: np.ndarray) -> np.ndarray:
-    """Cholesky factor L of H + delta*I with the smallest workable jitter.
+def gram_factor(G: np.ndarray) -> np.ndarray:
+    """Cholesky factor L of G + delta*I with the smallest workable jitter.
 
-    This is the factor W = L of a Gram matrix that has no thinner exact
+    This is the factor F = L of a Gram matrix that has no thinner exact
     one.  The dual then uses H + delta*I in every view (objective,
     residuals, Newton system), so the jitter never biases a Newton
     direction against the residuals being measured.
     """
-    l = H.shape[0]
-    scale = max(np.trace(H) / l, 1e-8)
+    l = G.shape[0]
+    scale = max(np.trace(G) / l, 1e-8)
     delta = 1e-12 * scale
     for _ in range(8):
         try:
-            return np.linalg.cholesky(H + delta * np.eye(l))
+            return np.linalg.cholesky(G + delta * np.eye(l))
         except np.linalg.LinAlgError:
             delta *= 100.0
     raise InfeasibleError("Gram matrix is not positive semidefinite")
@@ -194,6 +195,24 @@ def _max_residual(sol: QpSolution) -> float:
     return max(sol.kkt_residuals.values())
 
 
+def _residuals(problem: QpProblem, z: np.ndarray, nu: np.ndarray,
+               mu: np.ndarray):
+    """(scaled KKT residuals, objective, r_d, r_p) of one iterate."""
+    qz = problem.q_mul(z)
+    r_d = qz + problem.c - problem.at_mul(nu) - mu
+    r_p = problem.a_mul(z) - problem.b
+    obj = float(0.5 * z @ qz + problem.c @ z)
+    res = {
+        "primal_eq": float(np.abs(r_p).max())
+        / (1.0 + np.abs(problem.b).max()),
+        "dual_stationarity": float(np.abs(r_d).max())
+        / (1.0 + np.abs(problem.c).max() + np.abs(qz).max()),
+        # the largest pair, as the certificate measures it, not the mean
+        "complementarity": float((z * mu).max()) / (1.0 + abs(obj)),
+    }
+    return res, obj, r_d, r_p
+
+
 def _interior_point(problem: QpProblem, tol: float, max_iter: int) -> QpSolution:
     n, m = problem.n, problem.m_eq
     z = np.maximum(problem.feasible_start(), 1e-8)
@@ -201,27 +220,13 @@ def _interior_point(problem: QpProblem, tol: float, max_iter: int) -> QpSolution
     mu = np.maximum(g0, 0.0) + 0.1 * (1.0 + np.abs(g0).mean())
     nu = np.zeros(m)
 
-    c_scale = 1.0 + np.abs(problem.c).max()
-    b_scale = 1.0 + np.abs(problem.b).max()
-
     best: QpSolution | None = None
     status = "max_iter"
     it = 0
     stall = 0
     for it in range(1, max_iter + 1):
-        qz = problem.q_mul(z)
-        r_d = qz + problem.c - problem.at_mul(nu) - mu
-        r_p = problem.a_mul(z) - problem.b
+        res, obj, r_d, r_p = _residuals(problem, z, nu, mu)
         gap = float(z @ mu) / n
-        obj = float(0.5 * z @ qz + problem.c @ z)
-
-        res = {
-            "primal_eq": float(np.abs(r_p).max()) / b_scale,
-            "dual_stationarity": float(np.abs(r_d).max())
-            / (c_scale + np.abs(qz).max()),
-            # the largest pair, as the certificate measures it, not the mean
-            "complementarity": float((z * mu).max()) / (1.0 + abs(obj)),
-        }
         if not all(np.isfinite(v) for v in res.values()):
             status = "numerical_failure"
             break
@@ -323,7 +328,6 @@ def _crossover(problem: QpProblem, sol: QpSolution,
 
     guard(free, z0)
     c_scale = 1.0 + np.abs(problem.c).max()
-    b_scale = 1.0 + np.abs(problem.b).max()
     z_scale = 1.0 + np.abs(z0).max()
     # any feasible coordinate obeys its simplex row, so a face solution
     # beyond the cap scale means the face system was effectively singular
@@ -357,22 +361,13 @@ def _crossover(problem: QpProblem, sol: QpSolution,
         return None
 
     z = np.maximum(z, 0.0)
-    qz = problem.q_mul(z)
-    mu = qz + problem.c - problem.at_mul(nu)
-    r_p = problem.a_mul(z) - problem.b
-    obj = float(0.5 * z @ qz + problem.c @ z)
-    res = {
-        "primal_eq": float(np.abs(r_p).max()) / b_scale,
-        "dual_stationarity": float(max(0.0, -mu.min()))
-        / (c_scale + np.abs(qz).max()),
-        "complementarity": float((z * np.maximum(mu, 0.0)).max())
-        / (1.0 + abs(obj)),
-    }
+    # mu = max(Qz + c - A'nu, 0) leaves only the negative part in r_d
+    mu = np.maximum(problem.q_mul(z) + problem.c - problem.at_mul(nu), 0.0)
+    res, obj, _, _ = _residuals(problem, z, nu, mu)
     if not all(np.isfinite(v) for v in res.values()):
         return None
     status = "optimal" if max(res.values()) <= tol else sol.status
-    return QpSolution(z, obj, res, sol.iterations, status,
-                      nu.copy(), np.maximum(mu, 0.0))
+    return QpSolution(z, obj, res, sol.iterations, status, nu.copy(), mu)
 
 
 def _solve_face(problem: QpProblem, idx: np.ndarray):

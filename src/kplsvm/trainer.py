@@ -160,10 +160,8 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
     spec = loss.canonical(params.loss) if params.canonicalize else params.loss
     C = _class_caps(y, params.c0, params.balance_classes)
     G = kernels.gram(params.kernel, Xn)
-    if params.kernel.kind == "linear" and Xn.shape[1] < y.size:
-        W = y[:, None] * Xn         # exact: H = (yy') o (Xn Xn')
-    else:
-        W = qp.gram_factor(G * np.outer(y, y))
+    thin = params.kernel.kind == "linear" and Xn.shape[1] < y.size
+    W = y[:, None] * (Xn if thin else qp.gram_factor(G))   # WW' = (yy') o G
 
     problem = qp.assemble_dual(W, y, C, spec)
     try:

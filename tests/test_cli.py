@@ -333,6 +333,18 @@ class TestBenchCommand:
         assert (outdir / "monk3_records.csv").exists()
         assert (outdir / "consolidated.csv").exists()
 
+    def test_replay_row_missing_free_column_is_data_error(
+            self, monk3_files, tmp_path, capsys):
+        rp = tmp_path / "replay.csv"
+        rp.write_text("dataset,family,c0,q,tau1,tau2,eps1,eps2\n"
+                      "monk3,2pl,1,,0.4,,,\n", encoding="utf-8")
+        code = cli.main(["bench", "--manifest",
+                         str(monk3_files["corpus"] / "manifest.csv"),
+                         "--outdir", str(tmp_path / "rep"),
+                         "--replay", str(rp)])
+        assert code == cli.EXIT_DATA
+        assert f"{rp}:2: 2pl needs eps1" in capsys.readouterr().err
+
     def test_replay_preset_tables_parse(self):
         from kplsvm.modelsel import _load_replay_table
         lin = _load_replay_table("benchmarks/replay_linear.csv")

@@ -42,9 +42,10 @@ def test_gram_symmetric_and_psd():
     for spec in (
         kernels.KernelSpec(kind="linear"),
         kernels.KernelSpec(kind="rbf", q=1.3),
+        kernels.KernelSpec(kind="rbf", q=1.3, rbf_form="plain-distance"),
     ):
         G = kernels.gram(spec, X)
-        np.testing.assert_allclose(G, G.T, atol=1e-12)
+        np.testing.assert_array_equal(G, G.T)
         w = np.linalg.eigvalsh(G)
         assert w.min() >= -1e-9 * max(1.0, w.max())
 

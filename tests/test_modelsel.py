@@ -52,7 +52,6 @@ class TestGridSpec:
         assert len(g.eps_grid) == 21
         assert g.eps_grid[0] == -5.0 and g.eps_grid[-1] == 5.0
         assert np.allclose(np.diff(g.eps_grid), 0.5)
-        assert g.staged
 
     def test_three_piece_grid_size(self):
         # tau x tau x eps x eps at fixed C0
@@ -225,14 +224,6 @@ class TestStagedSearch:
                    [(r.family, r.c0, r.q, r.taus, r.epsilons, r.accuracy,
                      r.time_s == 0.0) for r in b.records]
 
-    def test_unstaged_search_spans_joint_grid(self):
-        grids = GridSpec(c0_grid=(0.125, 1.0), q_grid=(1.0,),
-                         tau_grid=(0.0,), eps_grid=(0.0,), staged=False)
-        rep = staged_search(blob_dataset(), "linear", grids,
-                            criterion="holdout")
-        pin_c0s = sorted({r.c0 for r in rep.records if r.family == "pinball"})
-        assert pin_c0s == [0.125, 1.0]
-
     def test_input_validation(self):
         ds = blob_dataset()
         with pytest.raises(DataError):
@@ -376,6 +367,19 @@ class TestBenchmarkRun:
         # fertility has no replay rows -> warning, not a crash
         assert any("fertility" in w for w in out["warnings"])
 
+    @pytest.mark.parametrize("kernel_kind", ["linear", "rbf"])
+    def test_records_csv_replays_every_cell(self, kernel_kind, tmp_path):
+        # linear cells leave q blank, RBF cells fill it
+        rep = staged_search(blob_dataset(), kernel_kind, TINY,
+                            criterion="holdout")
+        path = tmp_path / "records.csv"
+        modelsel._write_records_csv(path, "blob", rep.criterion, rep.records,
+                                    timing=False)
+        cells = [(r.family, r.c0, r.q, r.taus, r.epsilons)
+                 for r in rep.records]
+        assert {c[0] for c in cells} == set(modelsel.FAMILIES)
+        assert modelsel._load_replay_table(path) == {"blob": cells}
+
     def test_replay_table_validation(self, corpus, tmp_path):
         rp = tmp_path / "bad.csv"
         rp.write_text("dataset,family\nmonk3,hinge\n", encoding="utf-8")
@@ -387,6 +391,11 @@ class TestBenchmarkRun:
             "monk3,quartic,1,,,,,\n", encoding="utf-8")
         with pytest.raises(DataError, match="family"):
             benchmark_run(corpus / "manifest.csv", tmp_path / "rep", replay=rp2)
+        rp3 = tmp_path / "bad3.csv"
+        rp3.write_text("dataset,family,c0,q,tau1,tau2,eps1,eps2\n"
+                       "monk3,3pl,1,,0.4\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r":2: 3pl needs tau2, eps1, eps2"):
+            modelsel._load_replay_table(rp3)
 
     def test_replay_records_failed_rows_and_goes_on(self, tmp_path):
         rp = tmp_path / "replay.csv"
