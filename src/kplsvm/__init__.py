@@ -55,7 +55,6 @@ from .modelsel import (
     staged_search,
 )
 from .trainer import (
-    KktReport,
     TrainedModel,
     TrainParams,
     reduction_equivalence,
@@ -76,7 +75,6 @@ __all__ = [
     "InfeasibleError",
     "KERNEL_KINDS",
     "KernelSpec",
-    "KktReport",
     "KplsvmError",
     "LossPropertyReport",
     "LossSpec",

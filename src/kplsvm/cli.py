@@ -17,6 +17,7 @@ with LF line endings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import sys
@@ -25,7 +26,7 @@ import time
 import numpy as np
 
 from . import modelsel
-from .data import Dataset, default_seed, load_dataset, split_dataset
+from .data import default_seed, load_dataset, split_dataset
 from .datasets import write_corpus
 from .errors import DataError, KplsvmError
 from .kernels import KERNEL_KINDS, KernelSpec, RBF_FORMS
@@ -72,8 +73,8 @@ def _kernel_from_flags(args):
     return KernelSpec(kind=args.kernel, q=args.q, rbf_form=args.rbf_form)
 
 
-def _add_data_flags(p, required=True):
-    p.add_argument("--data", required=required, help="dataset file")
+def _add_data_flags(p):
+    p.add_argument("--data", required=True, help="dataset file")
     p.add_argument("--format", default="csv", choices=("csv", "libsvm"),
                    help="dataset file format (default: csv)")
     p.add_argument("--label-col", type=int, default=0,
@@ -108,12 +109,11 @@ def _load(args):
 
 def _grid_or_default(args):
     fields = {}
-    for flag, name in (("c0_grid", "c0_grid"), ("q_grid", "q_grid"),
-                       ("tau_grid", "tau_grid"), ("eps_grid", "eps_grid")):
-        raw = getattr(args, flag)
+    for name in ("c0_grid", "q_grid", "tau_grid", "eps_grid"):
+        raw = getattr(args, name)
         if raw is not None:
-            fields[name] = _float_list(raw, "--" + flag.replace("_", "-"))
-    return GridSpec(**fields) if fields else GridSpec()
+            fields[name] = _float_list(raw, "--" + name.replace("_", "-"))
+    return GridSpec(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +132,7 @@ def cmd_train(args):
     save_model(model, args.out)
 
     if args.balance:
-        pos = int((ds.y > 0).sum())
-        neg = int((ds.y < 0).sum())
-        p = pos / neg
+        p = model.diagnostics["class_ratio"]
         print(f"class balance: p = {p:.6g} "
               f"(C+ = {args.c0:.6g}, C- = {p * args.c0:.6g})")
     print(f"training accuracy: {evaluate(model, ds.X, ds.y):.3f}")
@@ -149,19 +147,20 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _write_predictions(pred, out):
-    lines = "".join(f"{int(v):d}\n" for v in pred)
+def _write_text(text, out):
+    """Write ``text`` to the file ``out``, or to stdout when it is None."""
     if out is None:
-        sys.stdout.write(lines)
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(lines)
+            fh.write(text)
 
 
 def cmd_predict(args):
     model = load_model(args.model)
     ds = _load(args)
-    _write_predictions(model.predict(ds.X), args.out)
+    _write_text("".join(f"{int(v):d}\n" for v in model.predict(ds.X)),
+                args.out)
     return EXIT_OK
 
 
@@ -172,8 +171,7 @@ def cmd_eval(args):
     line = f"{acc:.3f}"
     print(line)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(line + "\n")
+        _write_text(line + "\n", args.out)
     return EXIT_OK
 
 
@@ -183,8 +181,7 @@ def cmd_grid_search(args):
     tr, te = split_dataset(ds, args.n_train,
                            seed=None if args.predefined_split else seed,
                            predefined=args.predefined_split)
-    ds = Dataset(ds.X, ds.y, name=ds.name, label_map=ds.label_map,
-                 split=(tr, te))
+    ds = dataclasses.replace(ds, split=(tr, te))
     report = staged_search(ds, kernel_kind=args.kernel,
                            grids=_grid_or_default(args),
                            criterion=args.criterion, folds=args.folds,
@@ -239,12 +236,7 @@ def cmd_loss_curve(args):
     vals = eval_loss(loss, us)
     lines = ["u,loss"] + [f"{float(u)!r},{float(v)!r}"
                           for u, v in zip(us, vals)]
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -263,11 +255,9 @@ def cmd_verify(args):
                          balance_classes=bool(
                              model.diagnostics.get("balanced", True)))
     refit = train(ds.X, ds.y, params)
-    report = refit.diagnostics["kkt_report"]
-    for name in ("stationarity_w", "stationarity_b", "stationarity_xi",
-                 "complementarity_max", "primal_feasibility_max"):
-        print(f"{name}: {getattr(report, name):.3e}")
-    worst = report.max_residual
+    for name, value in refit.diagnostics["kkt_report"].items():
+        print(f"{name}: {value:.3e}")
+    worst = refit.diagnostics["kkt_max_residual"]
     print(f"max residual: {worst:.3e} (tol {args.tol:g})")
     drift = float(np.max(np.abs(model.decision_function(ds.X)
                                 - refit.decision_function(ds.X))))
@@ -404,10 +394,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except KplsvmError as exc:

@@ -17,7 +17,6 @@ __all__ = [
     "load_dataset",
     "fit_normalizer",
     "split_dataset",
-    "class_ratio",
     "default_seed",
 ]
 
@@ -246,12 +245,3 @@ def split_dataset(dataset: Dataset, n_train: int, seed: int | None = 0,
             default_seed() if seed is None else seed).permutation(l)
     return idx[:n_train], idx[n_train:]
 
-
-def class_ratio(y) -> float:
-    """n_positive / n_negative, the cap multiplier for the minority side."""
-    y = np.asarray(y)
-    pos = int((y > 0).sum())
-    neg = int((y < 0).sum())
-    if pos == 0 or neg == 0:
-        raise DataError("both classes must be present")
-    return pos / neg

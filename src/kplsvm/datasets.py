@@ -16,11 +16,11 @@ import csv
 import itertools
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, load_dataset
+from .data import Dataset, load_dataset, split_dataset
 from .errors import DataError
 
 __all__ = [
@@ -181,14 +181,10 @@ def write_corpus(outdir, include=None):
             X = np.vstack([Xtr, Xte])
             y01 = np.concatenate([ytr, yte])
             seed_field: int | None = None
-        elif row.predefined:
-            X, y01 = make_standin(row.name, row.rows, row.features, seed=0,
-                                  binary=row.binary)
-            seed_field = None
         else:
             X, y01 = make_standin(row.name, row.rows, row.features, seed=0,
                                   binary=row.binary)
-            seed_field = 0
+            seed_field = None if row.predefined else 0
         _write_csv(path, X, y01)
         entries.append(ManifestEntry(row.name, fname, "csv", row.n_train,
                                      seed_field))
@@ -246,8 +242,6 @@ def resolve_split(entry: ManifestEntry, base_dir) -> Dataset:
     if not os.path.isabs(path):
         path = os.path.join(base_dir, path)
     ds = load_dataset(path, fmt=entry.format, name=entry.name)
-    from .data import split_dataset
     tr, te = split_dataset(ds, entry.n_train, seed=entry.seed,
                            predefined=entry.seed is None)
-    return Dataset(ds.X, ds.y, name=ds.name, label_map=ds.label_map,
-                   split=(tr, te))
+    return replace(ds, split=(tr, te))

@@ -8,14 +8,15 @@ coefficient bit-for-bit and therefore every prediction.
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import json
+import math
 import os
 
 import numpy as np
 
 from .data import NormalizationTransform
-from .errors import DataError
+from .errors import DataError, RepresentationError
 from .kernels import KernelSpec
 from .loss import LossSpec
 from .trainer import TrainedModel
@@ -24,23 +25,6 @@ __all__ = ["FORMAT_VERSION", "save_model", "load_model",
            "model_to_dict", "model_from_dict"]
 
 FORMAT_VERSION = 1
-
-
-def _jsonable(v):
-    """Recursively convert numpy/dataclass values to plain JSON types."""
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer, np.bool_)):
-        return v.item()
-    if dataclasses.is_dataclass(v) and not isinstance(v, type):
-        return _jsonable(dataclasses.asdict(v))
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if v is None or isinstance(v, (bool, int, float, str)):
-        return v
-    return str(v)
 
 
 def model_to_dict(model: TrainedModel) -> dict:
@@ -59,13 +43,22 @@ def model_to_dict(model: TrainedModel) -> dict:
         "support_x": np.asarray(model.support_x, dtype=float).tolist(),
         "beta": np.asarray(model.beta, dtype=float).tolist(),
         "bias": float(model.bias),
-        "diagnostics": _jsonable(model.diagnostics),
+        "diagnostics": dict(model.diagnostics),
     }
 
 
 def _require(cond, msg):
     if not cond:
         raise DataError(f"model file: {msg}")
+
+
+@contextlib.contextmanager
+def _field(name):
+    """Report a value of the wrong type inside the block as a bad ``name``."""
+    try:
+        yield
+    except (TypeError, ValueError, RepresentationError) as exc:
+        raise DataError(f"model file: bad {name}") from exc
 
 
 def model_from_dict(doc: dict) -> TrainedModel:
@@ -79,15 +72,25 @@ def model_from_dict(doc: dict) -> TrainedModel:
         _require(key in doc, f"missing field {key!r}")
     kern = doc["kernel"]
     _require(isinstance(kern, dict) and "kind" in kern, "bad kernel block")
-    kernel = KernelSpec(kind=kern["kind"], q=float(kern.get("q", 1.0)),
-                        rbf_form=kern.get("rbf_form", "squared-distance"))
+    with _field("kernel"):
+        kernel = KernelSpec(kind=kern["kind"], q=float(kern.get("q", 1.0)),
+                            rbf_form=kern.get("rbf_form", "squared-distance"))
     loss_doc = doc["loss"]
     _require(isinstance(loss_doc, dict), "bad loss block")
-    loss = LossSpec(taus=tuple(float(t) for t in loss_doc.get("taus", ())),
-                    epsilons=tuple(float(e)
-                                   for e in loss_doc.get("epsilons", ())))
-    support = np.asarray(doc["support_x"], dtype=float)
-    beta = np.asarray(doc["beta"], dtype=float)
+    with _field("loss"):
+        loss = LossSpec(
+            taus=tuple(float(t) for t in loss_doc.get("taus", ())),
+            epsilons=tuple(float(e) for e in loss_doc.get("epsilons", ())))
+    with _field("c0"):
+        c0 = float(doc["c0"])
+    _require(math.isfinite(c0) and c0 > 0, "c0 must be finite and positive")
+    with _field("bias"):
+        bias = float(doc["bias"])
+    _require(math.isfinite(bias), "bias must be finite")
+    with _field("support_x"):
+        support = np.asarray(doc["support_x"], dtype=float)
+    with _field("beta"):
+        beta = np.asarray(doc["beta"], dtype=float)
     _require(support.ndim == 2, "support_x must be a 2-D array")
     _require(beta.ndim == 1 and beta.size == support.shape[0],
              "beta length must match the number of support points")
@@ -98,15 +101,17 @@ def model_from_dict(doc: dict) -> TrainedModel:
         nd = doc["normalizer"]
         _require(isinstance(nd, dict) and "mins" in nd and "maxs" in nd,
                  "bad normalizer block")
-        mins = np.asarray(nd["mins"], dtype=float)
-        maxs = np.asarray(nd["maxs"], dtype=float)
+        with _field("normalizer"):
+            mins = np.asarray(nd["mins"], dtype=float)
+            maxs = np.asarray(nd["maxs"], dtype=float)
         _require(mins.shape == maxs.shape == (support.shape[1],),
                  "normalizer bounds must match the feature count")
         norm = NormalizationTransform(mins=mins, maxs=maxs)
-    return TrainedModel(kernel=kernel, loss=loss, c0=float(doc["c0"]),
-                        support_x=support, beta=beta,
-                        bias=float(doc["bias"]), normalizer=norm,
-                        diagnostics=doc.get("diagnostics", {}) or {})
+    diagnostics = doc.get("diagnostics", {}) or {}
+    _require(isinstance(diagnostics, dict), "bad diagnostics block")
+    return TrainedModel(kernel=kernel, loss=loss, c0=c0,
+                        support_x=support, beta=beta, bias=bias,
+                        normalizer=norm, diagnostics=diagnostics)
 
 
 def save_model(model: TrainedModel, path) -> str:

@@ -428,32 +428,8 @@ def _factorize(problem: QpProblem, d: np.ndarray):
         A dz                      = r2
 
     reusable for the predictor and corrector right-hand sides.
-    """
-    raw = _factorize_structured(problem, d)
 
-    def refined(r1: np.ndarray, r2: np.ndarray):
-        # iterative refinement; the Schur pieces scale like 1/reg near
-        # convergence and eat ~8 digits without it
-        dz, dnu = raw(r1, r2)
-        scale = 1.0 + max(np.abs(r1).max(), np.abs(r2).max())
-        prev = np.inf
-        for _ in range(3):
-            rr1 = r1 - (problem.q_mul(dz) + d * dz - problem.at_mul(dnu))
-            rr2 = r2 - problem.a_mul(dz)
-            err = max(np.abs(rr1).max(), np.abs(rr2).max())
-            if err <= 1e-13 * scale or err >= 0.5 * prev:
-                break
-            prev = err
-            ez, enu = raw(rr1, rr2)
-            dz, dnu = dz + ez, dnu + enu
-        return dz, dnu
-
-    return refined
-
-
-def _factorize_structured(problem: QpProblem, d: np.ndarray):
-    """Block elimination down to one r x r Cholesky, using H = WW'.
-
+    Block elimination reduces it to one r x r Cholesky, using H = WW'.
     With P = reg + d (positive diagonal, viewed per block) and
     v = W'D'dz, the first block row gives dz = P^{-1}(r1 - DWv + A'dnu).
     The equality block T = A P^{-1} A' is an arrowhead (corner sum(g),
@@ -505,4 +481,21 @@ def _factorize_structured(problem: QpProblem, d: np.ndarray):
                      - np.multiply.outer(coeffs, Wv).ravel())
         return dz, dnu
 
-    return solve_kkt
+    def refined(r1: np.ndarray, r2: np.ndarray):
+        # iterative refinement; the Schur pieces scale like 1/reg near
+        # convergence and eat ~8 digits without it
+        dz, dnu = solve_kkt(r1, r2)
+        scale = 1.0 + max(np.abs(r1).max(), np.abs(r2).max())
+        prev = np.inf
+        for _ in range(3):
+            rr1 = r1 - (problem.q_mul(dz) + d * dz - problem.at_mul(dnu))
+            rr2 = r2 - problem.a_mul(dz)
+            err = max(np.abs(rr1).max(), np.abs(rr2).max())
+            if err <= 1e-13 * scale or err >= 0.5 * prev:
+                break
+            prev = err
+            ez, enu = solve_kkt(rr1, rr2)
+            dz, dnu = dz + ez, dnu + enu
+        return dz, dnu
+
+    return refined

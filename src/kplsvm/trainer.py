@@ -15,14 +15,13 @@ import numpy as np
 
 from . import blas, kernels, loss, qp
 from .data import NormalizationTransform, fit_normalizer
-from .errors import DataError, SolverError, TrainingError
+from .errors import DataError, TrainingError
 from .kernels import KernelSpec
 from .loss import LossSpec
 
 __all__ = [
     "TrainParams",
     "TrainedModel",
-    "KktReport",
     "train",
     "recover_bias",
     "verify_kkt",
@@ -61,34 +60,6 @@ class TrainParams:
             raise TrainingError("active_threshold must lie in (0, 1)")
         if self.loss.k < 2:
             raise TrainingError("loss must have at least one non-identity piece")
-
-
-@dataclass
-class KktReport:
-    """Scale-normalized residuals of the optimality system.
-
-    stationarity_w: negative part of the dual slack Qz + c - A^T nu
-    (weight-stationarity multipliers must be nonnegative), relative to
-    the objective's gradient scale.  stationarity_b: balance equation
-    |sum_i s_i y_i| / (1 + ||s||_1).  stationarity_xi: per-sample cap
-    equations max_i |C_i - sum of blocks| / (1 + C_i).  complementarity_max:
-    multiplier-times-slack products of every piece, using the
-    recovered bias.  primal_feasibility_max: multiplier sign violations
-    (the slack xi_i = L(u_i) satisfies every piece by construction).
-    """
-
-    stationarity_w: float
-    stationarity_b: float
-    stationarity_xi: float
-    complementarity_max: float
-    primal_feasibility_max: float
-    xi: np.ndarray
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.stationarity_w, self.stationarity_b,
-                   self.stationarity_xi, self.complementarity_max,
-                   self.primal_feasibility_max)
 
 
 @dataclass
@@ -164,10 +135,7 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
     W = y[:, None] * (Xn if thin else qp.gram_factor(G))   # WW' = (yy') o G
 
     problem = qp.assemble_dual(W, y, C, spec)
-    try:
-        sol = qp.solve(problem, tol=params.qp_tol, max_iter=params.max_iter)
-    except SolverError as exc:
-        raise TrainingError(f"dual solve failed: {exc}") from exc
+    sol = qp.solve(problem, tol=params.qp_tol, max_iter=params.max_iter)
     if sol.status != "optimal":
         raise TrainingError(
             f"dual solve ended with status {sol.status!r} after "
@@ -181,11 +149,11 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
 
     b = recover_bias(scores_wo_b, spec, y, C)
 
-    report = _kkt_report(sol, problem, spec, y, C, scores_wo_b, b)
+    report = verify_kkt(sol, problem, spec, y, C, scores_wo_b, b)
 
     dual_value = -sol.objective     # maximized dual of the original problem
     norm_w_sq = float(beta @ scores_wo_b)
-    xi = report.xi
+    xi = loss.eval_loss(spec, 1.0 - y * (scores_wo_b + b))
     primal_value = 0.5 * norm_w_sq + float(C @ xi)
     gap_rel = abs(primal_value - dual_value) / (1.0 + abs(dual_value))
 
@@ -199,7 +167,7 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
         keep = np.ones(l, dtype=bool)
 
     diagnostics = {
-        "kkt_max_residual": report.max_residual,
+        "kkt_max_residual": max(report.values()),
         "duality_gap_rel": gap_rel,
         "primal_objective": primal_value,
         "dual_objective": dual_value,
@@ -207,7 +175,7 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
         "qp_status": sol.status,
         "support_count": int(keep.sum()),
         "class_ratio": float((y > 0).sum() / (y < 0).sum()),
-        "balanced": params.balance_classes,
+        "balanced": bool(params.balance_classes),
         "kkt_report": report,
     }
     return TrainedModel(kernel=params.kernel, loss=params.loss,
@@ -249,57 +217,43 @@ def recover_bias(scores_wo_b: np.ndarray, spec: LossSpec, y: np.ndarray,
     return float(hi if hi < 0.0 else lo)
 
 
-def _kkt_report(sol: qp.QpSolution, problem: qp.QpProblem, spec: LossSpec,
-                y, C, scores_wo_b, b) -> KktReport:
-    """Recompute every optimality equation from the raw solution."""
+def verify_kkt(sol: qp.QpSolution, problem: qp.QpProblem, spec: LossSpec,
+               y, C, scores_wo_b, b) -> dict[str, float]:
+    """Scale-normalized residuals of the optimality system.
+
+    Every equation is recomputed from the raw solution, with the slack
+    xi_i = L(u_i) at the margin u = 1 - y*(scores_wo_b + b).
+    stationarity_w: negative part of the dual slack Qz + c - A^T nu
+    (weight-stationarity multipliers must be nonnegative), relative to
+    the objective's gradient scale.  stationarity_b: balance equation
+    |sum_i s_i y_i| / (1 + ||s||_1).  stationarity_xi: per-sample cap
+    equations max_i |C_i - sum of blocks| / (1 + C_i).  complementarity_max:
+    multiplier-times-slack products of every piece, using the
+    recovered bias.  primal_feasibility_max: multiplier sign violations
+    (the slack xi_i = L(u_i) satisfies every piece by construction).
+    """
     z, nu = sol.z, sol.nu
     l = y.size
     k = spec.k
     Qz = problem.q_mul(z)
     mu = Qz + problem.c - problem.at_mul(nu)
     grad_scale = 1.0 + np.abs(problem.c).max() + np.abs(Qz).max()
-    stationarity_w = float(max(0.0, -mu.min()) / grad_scale)
-
     s = problem.combined(z)
-    stationarity_b = float(abs(s @ y) / (1.0 + np.abs(s).sum()))
-
     blocks = z.reshape(k, l)
-    stationarity_xi = float(
-        (np.abs(C - blocks.sum(axis=0)) / (1.0 + C)).max())
-
     u = 1.0 - y * (scores_wo_b + b)
     values = np.multiply.outer(loss.slopes(spec), u) \
         + loss.intercepts(spec)[:, None]
     xi = values.max(axis=0)
-    complementarity_max = float(
-        (np.abs(blocks * (xi - values)) / (1.0 + C)).max())
-    # xi is the envelope itself, so no piece exceeds it
-    primal_feasibility_max = float(max(0.0, -z.min()))
-    return KktReport(stationarity_w=stationarity_w,
-                     stationarity_b=stationarity_b,
-                     stationarity_xi=stationarity_xi,
-                     complementarity_max=complementarity_max,
-                     primal_feasibility_max=primal_feasibility_max,
-                     xi=xi)
-
-
-def verify_kkt(sol: qp.QpSolution, problem: qp.QpProblem, spec: LossSpec,
-               y, C, scores_wo_b, b, z_override=None) -> KktReport:
-    """Independent KKT recheck; ``z_override`` audits a perturbed point."""
-    if z_override is not None:
-        sol = qp.QpSolution(z=np.asarray(z_override, dtype=float),
-                            objective=sol.objective,
-                            kkt_residuals=dict(sol.kkt_residuals),
-                            iterations=sol.iterations, status=sol.status,
-                            nu=sol.nu, mu=sol.mu)
-        s = problem.combined(sol.z)
-        scores_wo_b = _scores_from_combined(problem, s, y)
-    return _kkt_report(sol, problem, spec, y, C, scores_wo_b, b)
-
-
-def _scores_from_combined(problem, s, y):
-    # H = (y y^T) o G, so G (s o y) = y o (H s)
-    return y * problem.h_mul(s)
+    return {
+        "stationarity_w": float(max(0.0, -mu.min()) / grad_scale),
+        "stationarity_b": float(abs(s @ y) / (1.0 + np.abs(s).sum())),
+        "stationarity_xi": float(
+            (np.abs(C - blocks.sum(axis=0)) / (1.0 + C)).max()),
+        "complementarity_max": float(
+            (np.abs(blocks * (xi - values)) / (1.0 + C)).max()),
+        # xi is the envelope itself, so no piece exceeds it
+        "primal_feasibility_max": float(max(0.0, -z.min())),
+    }
 
 
 def reduction_equivalence(dataset, c0: float,

@@ -90,6 +90,21 @@ class TestModelIO:
         del bad["bias"]
         with pytest.raises(DataError, match="bias"):
             model_io.model_from_dict(bad)
+        # wrong-typed or out-of-range values name their field
+        for key, value in (
+                ("bias", "x"), ("bias", float("nan")),
+                ("c0", None), ("c0", 0.0), ("c0", float("inf")),
+                ("loss", {"taus": 5}),
+                ("loss", {"taus": [0.5], "epsilons": []}),
+                ("support_x", [[0.0, 1.0, 2.0], [0.0]]),
+                ("beta", ["a"] * len(good["beta"])),
+                ("kernel", {**good["kernel"], "q": "wide"}),
+                ("normalizer", {**good["normalizer"], "maxs": "a"}),
+                ("diagnostics", [1])):
+            bad = dict(good)
+            bad[key] = value
+            with pytest.raises(DataError, match=key):
+                model_io.model_from_dict(bad)
 
     def test_not_json_is_data_error(self, tmp_path):
         p = tmp_path / "junk.model"
@@ -113,10 +128,7 @@ class TestModelIO:
         p = tmp_path / "m.json"
         model_io.save_model(model, p)
         loaded = model_io.load_model(p)
-        d = loaded.diagnostics
-        assert d["kkt_max_residual"] == \
-            pytest.approx(model.diagnostics["kkt_max_residual"])
-        assert isinstance(d["kkt_report"], dict)
+        assert loaded.diagnostics == model.diagnostics
         assert json.loads(p.read_text(encoding="utf-8"))["format_version"] == 1
 
 
@@ -210,6 +222,16 @@ class TestPredictEval:
         assert cli.main(["predict", "--model", str(trained_model),
                          "--data", str(bad)]) == cli.EXIT_DATA
         capsys.readouterr()
+
+    def test_malformed_model_is_data_error(self, trained_model, monk3_files,
+                                           tmp_path, capsys):
+        doc = json.loads(trained_model.read_text(encoding="utf-8"))
+        doc["bias"] = float("nan")
+        bad = tmp_path / "bad.model"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["predict", "--model", str(bad),
+                         "--data", str(monk3_files["test"])]) == cli.EXIT_DATA
+        assert "bias" in capsys.readouterr().err
 
 
 class TestLossCurve:

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from kplsvm import data, datasets
-from kplsvm.errors import DataError
+from kplsvm import data, datasets, trainer
+from kplsvm.errors import DataError, TrainingError
 
 
 def write(tmp_path, name, text):
@@ -165,15 +165,20 @@ class TestSplit:
 
 
 class TestClassRatio:
+    """The negative class's cap is C0 times n_positive / n_negative."""
+
     def test_two_to_one(self):
-        assert data.class_ratio(np.array([1.0] * 10 + [-1.0] * 5)) == 2.0
+        y = np.array([1.0] * 10 + [-1.0] * 5)
+        C = trainer._class_caps(y, 0.5, True)
+        assert C.tolist() == [0.5] * 10 + [1.0] * 5
 
     def test_balanced(self):
-        assert data.class_ratio(np.array([1.0, -1.0])) == 1.0
+        C = trainer._class_caps(np.array([1.0, -1.0]), 0.5, True)
+        assert C.tolist() == [0.5, 0.5]
 
     def test_one_class_absent(self):
-        with pytest.raises(DataError):
-            data.class_ratio(np.ones(4))
+        with pytest.raises(TrainingError):
+            trainer._class_caps(np.ones(4), 0.5, True)
 
 
 # Positive-class sizes of the rule-labeled full grids.  Inclusion-exclusion:

@@ -480,19 +480,19 @@ class TestKktReport:
     def test_clean_fit_passes_thresholds(self):
         args = self.fit_with_internals(loss.hinge(), 5.0)
         report = trainer.verify_kkt(*args)
-        assert report.max_residual <= 1e-6
-        assert report.stationarity_xi <= 1e-8       # per-sample cap rows
-        assert np.isfinite(report.xi).all()
-        assert (report.xi >= -1e-12).all()
+        assert max(report.values()) <= 1e-6
+        assert report["stationarity_xi"] <= 1e-8    # per-sample cap rows
 
     def test_perturbation_is_detected(self):
         sol, problem, spec, y, C, scores, b = self.fit_with_internals(
             LossSpec(taus=(0.5,), epsilons=(0.2,)), 2.0)
         z_bad = sol.z.copy()
         z_bad[0] += 0.1
-        report = trainer.verify_kkt(sol, problem, spec, y, C, scores, b,
-                                    z_override=z_bad)
-        assert report.complementarity_max > 1e-3
+        # the scores G(s o y) = y o (H s) that the perturbed point implies
+        scores_bad = y * problem.h_mul(problem.combined(z_bad))
+        report = trainer.verify_kkt(dataclasses.replace(sol, z=z_bad),
+                                    problem, spec, y, C, scores_bad, b)
+        assert report["complementarity_max"] > 1e-3
 
     def test_residuals_match_per_piece_loop(self):
         sol, problem, spec, y, C, _, b = self.fit_with_internals(
@@ -518,18 +518,19 @@ class TestKktReport:
                 comp = np.maximum(
                     comp, np.abs(blocks[m + 1] * (xi - piece)) / (1.0 + C))
                 feas = max(feas, float((piece - xi).max()))
-            assert report.complementarity_max == float(comp.max())
-            assert report.primal_feasibility_max == max(0.0, feas, 0.01)
-            np.testing.assert_array_equal(report.xi, xi)
+            assert report["complementarity_max"] == float(comp.max())
+            assert report["primal_feasibility_max"] == max(0.0, feas, 0.01)
 
     def test_xi_is_loss_at_margin(self):
         X, y = blob_pair(seed=5)
         spec = LossSpec(taus=(0.5,), epsilons=(0.3,))
         m = train(X, y, TrainParams(loss=spec, c0=1.0), normalize=False)
-        report = m.diagnostics["kkt_report"]
-        u = 1.0 - y * m.decision_function(X)
-        np.testing.assert_allclose(report.xi, loss.eval_loss(spec, u),
-                                   atol=1e-12)
+        # the primal's slacks are the loss at the model's own margins
+        C = trainer._class_caps(y, 1.0, True)
+        norm_w_sq = m.beta @ (m.decision_function(m.support_x) - m.bias)
+        xi = loss.eval_loss(spec, 1.0 - y * m.decision_function(X))
+        assert m.diagnostics["primal_objective"] == pytest.approx(
+            0.5 * norm_w_sq + C @ xi, rel=1e-12)
 
     def test_duality_gap_small_on_monk(self):
         Xtr, ytr, _, _ = monk_arrays(3)
