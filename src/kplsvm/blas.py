@@ -10,7 +10,7 @@ at l = 400 and l = 800 for both kernels.  Parallelism belongs to the grid
 cells instead.  An RBF search trains its cells on ``jobs`` threads,
 whose l x l factorizations release the interpreter lock; linear trains
 are bound by the lock, so linear cells run on the calling thread until
-they get a process pool (ROADMAP Open item 3).
+they get a process pool (ROADMAP Open item 6).
 
 The cap goes through ``openblas_set_num_threads_local``, the thread-count
 entry point every OpenBLAS copy exports without a build prefix.  It

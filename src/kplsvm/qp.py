@@ -22,7 +22,8 @@ predictor-corrector steps.  Its Newton system is solved by block
 elimination down to one r x r Cholesky factorization per iteration, so
 an iteration costs O(k*l + l*r^2 + r^3).
 An active-set crossover then polishes the last iterate onto an exact
-face and is kept when it lowers the residuals.
+face and is kept when it lowers the residuals.  It solves each face in
+the null space of its simplex rows, through a Cholesky factorization too.
 """
 
 from __future__ import annotations
@@ -203,10 +204,10 @@ def _residuals(problem: QpProblem, z: np.ndarray, nu: np.ndarray,
     r_p = problem.a_mul(z) - problem.b
     obj = float(0.5 * z @ qz + problem.c @ z)
     res = {
-        "primal_eq": float(np.abs(r_p).max())
-        / (1.0 + np.abs(problem.b).max()),
-        "dual_stationarity": float(np.abs(r_d).max())
-        / (1.0 + np.abs(problem.c).max() + np.abs(qz).max()),
+        "primal_eq": float(np.abs(r_p).max()
+                           / (1.0 + np.abs(problem.b).max())),
+        "dual_stationarity": float(np.abs(r_d).max() / (
+            1.0 + np.abs(problem.c).max() + np.abs(qz).max())),
         # the largest pair, as the certificate measures it, not the mean
         "complementarity": float((z * mu).max()) / (1.0 + abs(obj)),
     }
@@ -315,7 +316,6 @@ def _crossover(problem: QpProblem, sol: QpSolution,
     """
     if not np.all(np.isfinite(sol.z)):
         return None
-    m = problem.m_eq
     z0 = sol.z
     free = z0 > np.maximum(sol.mu, 0.0)
     k, l = problem.k, problem.l
@@ -336,7 +336,7 @@ def _crossover(problem: QpProblem, sol: QpSolution,
     seen: set[bytes] = set()
     for _ in range(60):
         idx = np.flatnonzero(free)
-        if idx.size + m > 6000:
+        if idx.size - l > 6000:         # p, the face's reduced dimension
             return None
         key = np.packbits(free).tobytes()
         if key in seen:            # cycling over degenerate faces
@@ -373,50 +373,49 @@ def _crossover(problem: QpProblem, sol: QpSolution,
 def _solve_face(problem: QpProblem, idx: np.ndarray):
     """Exact KKT solve with inactive coordinates pinned to zero.
 
-    Returns (z, nu) where z is the full-length vector.  The bordered
-    system is made quasi-definite with a tiny diagonal shift, then the
-    shift's effect is removed by iterative refinement against the
-    unshifted operator.
+    Returns (z, nu) with z full-length; every simplex row needs a free
+    coordinate.  Null-space method (Nocedal & Wright, 2nd ed., 16.2):
+    sample i's first free coordinate j0 is its pivot, z = z0 + Nw with
+    z0 = C_i on the pivots, and each other free (j, i) is a column
+    e_j - e_j0 of N, so DN has the one entry c_j - c_j0 in row i.  The
+    SPD R = N'QN = M'M + reg(I + S), M = W'(DN), S[a, b] = 1 within a
+    sample, is bordered by the balance row y'(DN); nu_0 comes from its
+    scalar Schur complement, refined against R, and nu_i from the pivot's
+    stationarity.  With no border nu_0 is free: nu is the least-norm one.
     """
-    nf, m = idx.size, problem.m_eq
-    Qff = _q_sub(problem, idx)
-    Af = _a_cols(problem, idx)
-    dim = nf + m
-    K = np.zeros((dim, dim), order="F")
-    K[:nf, :nf] = Qff
-    eps = 1e-12 * (1.0 + np.abs(Qff).max())
-    K[:nf, :nf][np.diag_indices(nf)] += eps
-    K[:nf, nf:] = Af.T
-    K[nf:, :nf] = Af
-    K[nf:, nf:][np.diag_indices(m)] -= eps
-    rhs = np.concatenate((-problem.c[idx], problem.b))
-    lu = scipy.linalg.lu_factor(K, overwrite_a=True, check_finite=False)
-    x = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-    for _ in range(2):
-        r1 = rhs[:nf] - (Qff @ x[:nf] + Af.T @ x[nf:])
-        r2 = rhs[nf:] - Af @ x[:nf]
-        e = scipy.linalg.lu_solve(lu, np.concatenate((r1, r2)),
-                                  check_finite=False)
-        x = x + e
+    l, y, coeffs = problem.l, problem.y, problem.block_coeffs
+    piv = idx[np.unique(idx % l, return_index=True)[1]]  # sample i's pivot
+    rest = np.setdiff1d(idx, piv, assume_unique=True)
+    rs = rest % l
+    a = coeffs[piv // l] * y            # the pivots' balance coefficients
+    delta = coeffs[rest // l] - coeffs[piv[rs] // l]
+    border = delta * y[rs]
+    M = (problem.W[rs] * delta[:, None]).T
+    R = M.T @ M + problem.reg * (np.eye(rs.size) + (rs[:, None] == rs))
+    R_chol = scipy.linalg.cho_factor(R, lower=True, check_finite=False)
+    Rb = scipy.linalg.cho_solve(R_chol, border, check_finite=False)
+    schur = border @ Rb
+
+    def bordered_solve(g, h):
+        Rg = scipy.linalg.cho_solve(R_chol, g, check_finite=False)
+        nu0 = (h - border @ Rg) / schur if schur > 0 else 0.0
+        return Rg + Rb * nu0, nu0
+
     z = np.zeros(problem.n)
-    z[idx] = x[:nf]
-    return z, -x[nf:]
-
-
-def _q_sub(problem: QpProblem, idx: np.ndarray) -> np.ndarray:
-    Vf = problem.block_coeffs[idx // problem.l, None] \
-        * problem.W[idx % problem.l]
-    Q = Vf @ Vf.T
-    Q[np.diag_indices(idx.size)] += problem.reg
-    return Q
-
-
-def _a_cols(problem: QpProblem, idx: np.ndarray) -> np.ndarray:
-    si = idx % problem.l
-    A = np.zeros((problem.l + 1, idx.size))
-    A[0] = problem.block_coeffs[idx // problem.l] * problem.y[si]
-    A[1 + si, np.arange(idx.size)] = 1.0
-    return A
+    z[piv] = problem.C
+    grad = problem.q_mul(z) + problem.c
+    g = grad[piv[rs]] - grad[rest]      # -N'(Q z0 + c)
+    h = -(a @ problem.C)
+    w, nu0 = bordered_solve(g, h)
+    for _ in range(2):
+        ew, enu0 = bordered_solve(g - R @ w + border * nu0, h - border @ w)
+        w, nu0 = w + ew, nu0 + enu0
+    z[rest] = w
+    z[piv] -= np.bincount(rs, weights=w, minlength=l)
+    grad_piv = (problem.q_mul(z) + problem.c)[piv]
+    if not schur > 0:
+        nu0 = (a @ grad_piv) / (1.0 + a @ a)
+    return z, np.concatenate(([nu0], grad_piv - a * nu0))
 
 
 def _factorize(problem: QpProblem, d: np.ndarray):

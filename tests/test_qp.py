@@ -154,6 +154,84 @@ class TestNewtonFactor:
             assert (res / scale).max() <= 1e-9
 
 
+class TestFaceSolve:
+    """The crossover's face solve against the dense face KKT system."""
+
+    @staticmethod
+    def face_problem(rng, taus, thin, l=12):
+        # samples come in (+1, -1) pairs with one cap each, so a face
+        # that puts a pair on one block meets the balance row; a tau = -1
+        # piece gets eps = 0, which repeats the identity
+        spec = loss.LossSpec(taus=taus, epsilons=tuple(
+            0.0 if t == -1.0 else rng.uniform(-2, 2) for t in taus))
+        y = np.where(np.arange(l) % 2 == 0, 1.0, -1.0)
+        X = rng.normal(size=(l, 3))
+        if thin:
+            W = y[:, None] * X
+        else:
+            G = kernels.gram(kernels.KernelSpec("rbf"), X)
+            W = qp.gram_factor(G * np.outer(y, y))
+        C = np.repeat(rng.uniform(0.5, 2.0, size=l // 2), 2)
+        return qp.assemble_dual(W, y, C, spec)
+
+    @staticmethod
+    def random_face(rng, problem):
+        # every sample keeps at least one free coordinate
+        k, l = problem.k, problem.l
+        free = rng.random(problem.n) < 0.5
+        free[rng.integers(k, size=l) * l + np.arange(l)] = True
+        return free
+
+    @staticmethod
+    def solve_and_check(problem, free):
+        """(nu, gradient on the face) after checking the face KKT system."""
+        idx = np.flatnonzero(free)
+        with np.errstate(all="raise"):
+            z, nu = qp._solve_face(problem, idx)
+        assert np.all(z[~free] == 0.0)
+        Q, A = dense_qa(problem)
+        m = problem.m_eq
+        K = np.block([[Q[idx], -A.T[idx]], [A, np.zeros((m, m))]])
+        x = np.concatenate((z, nu))
+        rhs = np.concatenate((-problem.c[idx], problem.b))
+        res = np.abs(K @ x - rhs)
+        scale = np.abs(K).max(axis=1) * np.abs(x).max() + np.abs(rhs)
+        assert (res / scale).max() <= 1e-9
+        return nu, Q[idx] @ z + problem.c[idx]
+
+    @pytest.mark.parametrize("k_extra", [1, 2, 3])
+    @pytest.mark.parametrize("thin", [True, False], ids=["thin", "square"])
+    def test_random_faces_solve_the_dense_kkt_system(self, k_extra, thin):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            taus = tuple(rng.uniform(-0.9, 1.0, k_extra))
+            problem = self.face_problem(rng, taus, thin)
+            self.solve_and_check(problem, self.random_face(rng, problem))
+
+    @pytest.mark.parametrize("taus, one_per_sample", [
+        ((0.3, -0.6), True),        # p = 0
+        ((-1.0,), False),           # every slope equal
+        ((-1.0, -1.0), False),
+    ], ids=["p=0", "tau=-1", "tau=-1,-1"])
+    def test_free_balance_multiplier_takes_least_norm(self, taus,
+                                                      one_per_sample):
+        # the balance row leaves nu_0 free on these faces; the solve
+        # returns the least-norm multipliers
+        rng = np.random.default_rng(3)
+        problem = self.face_problem(rng, taus, thin=True)
+        k, l = problem.k, problem.l
+        if one_per_sample:
+            free = np.zeros(problem.n, dtype=bool)
+            blocks = np.repeat(rng.integers(k, size=l // 2), 2)
+            free[blocks * l + np.arange(l)] = True
+        else:
+            free = self.random_face(rng, problem)
+        nu, grad = self.solve_and_check(problem, free)
+        _, A = dense_qa(problem)
+        least = np.linalg.lstsq(A[:, free].T, grad, rcond=None)[0]
+        np.testing.assert_allclose(nu, least, rtol=1e-10, atol=1e-12)
+
+
 class TestInteriorPoint:
     def test_two_point_hinge_toy(self):
         spec = loss.hinge()

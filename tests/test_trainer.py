@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,6 +212,13 @@ class TestSolverStatus:
         assert sol.status == "stalled"
         assert sol.iterations < 50
         assert max(sol.kkt_residuals.values()) <= 1e-14
+        assert all(type(v) is float for v in sol.kkt_residuals.values())
+
+    def test_failed_train_names_plain_residuals(self):
+        X, y = blob_pair()
+        with pytest.raises(TrainingError, match="max_iter") as err:
+            train(X, y, TrainParams(loss=loss.hinge(), c0=1.0, max_iter=2))
+        assert "np.float64" not in str(err.value)
 
     def test_haberman_c0_128_cell_certifies(self):
         # haberman stand-in (corpus seed 0, split seed 0, l = 150): this
@@ -283,13 +291,27 @@ def phi_at(scores_wo_b, spec, y, C, b):
     return float(C @ loss.eval_loss(spec, 1.0 - y * (scores_wo_b + b)))
 
 
+def phi_exact(scores_wo_b, spec, y, C, b):
+    """phi(b) in exact rational arithmetic on the float inputs."""
+    pieces = [(Fraction(a), Fraction(t))
+              for a, t in zip(loss.slopes(spec), loss.intercepts(spec))]
+    total = Fraction(0)
+    for c, yi, g in zip(C, y, scores_wo_b):
+        u = 1 - Fraction(yi) * (Fraction(g) + Fraction(b))
+        total += Fraction(c) * max(a * u + t for a, t in pieces)
+    return total
+
+
 def bias_line_search(scores_wo_b, spec, y, C):
     """Oracle: evaluate phi(b) at every breakpoint and keep the best.
 
     phi(b) = sum_i C_i L(1 - y_i (score_i + b)).  The kinks are the
-    crossings on the envelope; breakpoints within 1e-12 of the least
+    crossings on the envelope; breakpoints where phi takes its least
     value are optimal, and a flat tail, probed one step beyond the
-    extreme breakpoints, extends the optimal set to infinity.
+    extreme breakpoints, extends the optimal set to infinity.  phi is
+    evaluated exactly: a tie band in floating point would admit a
+    breakpoint a rounding error above the least value, and it can lie
+    nearer zero than the unique minimizer.
     """
     _, _, u, value = loss.crossings(spec)
     top = loss.eval_loss(spec, u)
@@ -300,19 +322,16 @@ def bias_line_search(scores_wo_b, spec, y, C):
         [y * (1.0 - u) - scores_wo_b for u in kinks]))
 
     def phi(b):
-        return phi_at(scores_wo_b, spec, y, C, b)
+        return phi_exact(scores_wo_b, spec, y, C, b)
 
-    def near(a, b):
-        return abs(a - b) <= 1e-12 * (1.0 + abs(b))
-
-    vals = np.array([phi(b) for b in bps])
-    vmin = vals.min()
-    opt = bps[vals <= vmin + 1e-12 * (1.0 + abs(vmin))]
-    lo, hi = float(opt.min()), float(opt.max())
+    vals = [phi(b) for b in bps]
+    vmin = min(vals)
+    opt = [b for b, v in zip(bps, vals) if v == vmin]
+    lo, hi = float(min(opt)), float(max(opt))
     step = 1.0 + (bps.max() - bps.min())
-    if near(phi(bps[0] - step), vals[0]) and near(vals[0], vmin):
+    if phi(bps[0] - step) == vals[0] == vmin:
         lo = -np.inf
-    if near(phi(bps[-1] + step), vals[-1]) and near(vals[-1], vmin):
+    if phi(bps[-1] + step) == vals[-1] == vmin:
         hi = np.inf
     if lo <= 0.0 <= hi:
         return 0.0
@@ -357,6 +376,14 @@ class TestBiasRecovery:
               trainer._class_caps(np.array([1.0, -1.0, 1.0, -1.0, -1.0]),
                                   0.05, True),
               np.array([0.3, -0.7, 1.2, 0.1, -0.7])))
+    # phi is a rounding error higher at the breakpoint nearer zero, which
+    # a floating-point tie band admitted as a minimizer
+    @example((LossSpec(taus=(-1.0, -1.0, 0.3), epsilons=(0.0, 0.0, 0.0)),
+              np.array([1.0, -1.0, 1.0]), np.full(3, 2.0 ** -7),
+              np.array([2.0, -2.9751205174502186e-12, 2.0])))
+    @example((LossSpec(taus=(-1.0, 0.0), epsilons=(0.0, 0.0)),
+              np.array([1.0, -1.0, 1.0, 1.0]), np.full(4, 2.0 ** -7),
+              np.array([0.0, 0.0, 0.0, 6.8434506e-11])))
     @settings(max_examples=300, deadline=None)
     def test_sweep_is_no_worse_than_evaluating_every_breakpoint(
             self, problem):
