@@ -6,11 +6,11 @@ The loss family is ``L(u) = max(u, -tau_1 u + eps_1, ..., -tau_{k-1} u
 the regularized risk with an interior-point method that works on the
 dual's block structure (one r x r factorization per Newton step, with
 H = WW' and r the feature count of a linear kernel), polishes
-the result with an active-set crossover, recovers the bias from the
-optimality conditions, and certifies the result via KKT residuals and
-the duality gap.  ``modelsel`` adds the staged grid
-search and the benchmark harness; ``cli`` exposes everything as the
-``kplsvm`` command.
+the result with an active-set crossover, recovers the bias as the
+exact minimizer of the primal in b with w fixed, and certifies the
+result via KKT residuals and the duality gap.  ``modelsel`` adds the
+staged grid search and the benchmark harness; ``cli`` exposes
+everything as the ``kplsvm`` command.
 """
 
 from .data import (

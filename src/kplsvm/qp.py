@@ -22,8 +22,12 @@ predictor-corrector steps.  Its Newton system is solved by block
 elimination down to one r x r Cholesky factorization per iteration, so
 an iteration costs O(k*l + l*r^2 + r^3).
 An active-set crossover then polishes the last iterate onto an exact
-face and is kept when it lowers the residuals.  It solves each face in
-the null space of its simplex rows, through a Cholesky factorization too.
+face.  It solves each face in the null space of its simplex rows,
+through a Cholesky factorization too.
+
+Optimality has one definition, ``residuals``, the five scaled KKT
+residuals a model reports: the interior point stops on them, and the
+polish is kept only when it meets ``tol`` on them too.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "QpSolution",
     "assemble_dual",
     "gram_factor",
+    "residuals",
     "solve",
 ]
 
@@ -184,32 +189,45 @@ def assemble_dual(
 
 def solve(problem: QpProblem, tol: float = 1e-8,
           max_iter: int = 200) -> QpSolution:
-    """Solve the QP to the requested scaled KKT tolerance."""
+    """Solve the QP until every ``residuals`` entry is at most ``tol``.
+
+    The polish replaces the interior-point iterate only when it verifies.
+    """
     sol = _interior_point(problem, tol=tol, max_iter=max_iter)
     polished = _crossover(problem, sol, tol)
-    if polished is not None and _max_residual(polished) < _max_residual(sol):
-        sol = polished
-    return sol
+    return sol if polished is None else polished
 
 
-def _max_residual(sol: QpSolution) -> float:
-    return max(sol.kkt_residuals.values())
+def residuals(problem: QpProblem, z: np.ndarray, nu: np.ndarray,
+              mu: np.ndarray | None = None,
+              slack: np.ndarray | None = None):
+    """(scaled KKT residuals, objective, r_d, r_p) of one dual point.
 
-
-def _residuals(problem: QpProblem, z: np.ndarray, nu: np.ndarray,
-               mu: np.ndarray):
-    """(scaled KKT residuals, objective, r_d, r_p) of one iterate."""
+    mu defaults to the bound multipliers that (z, nu) imply, max(Qz + c -
+    A'nu, 0), and complementarity pairs z with ``slack``, by default mu.
+    stationarity_w is |Qz + c - A'nu - mu| over 1 + |c| + |Qz|;
+    stationarity_b the balance row |y's| / (1 + |s|_1), s = Dz;
+    stationarity_xi the simplex rows |sum_m z_mi - C_i| / (1 + C_i);
+    complementarity_max |z_mi slack_mi| / (1 + C_i); and
+    primal_feasibility_max max(0, -min z).
+    """
     qz = problem.q_mul(z)
-    r_d = qz + problem.c - problem.at_mul(nu) - mu
+    r_d = qz + problem.c - problem.at_mul(nu)
+    if mu is None:
+        mu = np.maximum(r_d, 0.0)
+    r_d -= mu
     r_p = problem.a_mul(z) - problem.b
     obj = float(0.5 * z @ qz + problem.c @ z)
+    pairs = (z * (mu if slack is None else slack)).reshape(problem.k, -1)
+    scale = 1.0 + problem.C
     res = {
-        "primal_eq": float(np.abs(r_p).max()
-                           / (1.0 + np.abs(problem.b).max())),
-        "dual_stationarity": float(np.abs(r_d).max() / (
+        "stationarity_w": float(np.abs(r_d).max() / (
             1.0 + np.abs(problem.c).max() + np.abs(qz).max())),
-        # the largest pair, as the certificate measures it, not the mean
-        "complementarity": float((z * mu).max()) / (1.0 + abs(obj)),
+        "stationarity_b": float(
+            abs(r_p[0]) / (1.0 + np.abs(problem.combined(z)).sum())),
+        "stationarity_xi": float((np.abs(r_p[1:]) / scale).max()),
+        "complementarity_max": float((np.abs(pairs) / scale).max()),
+        "primal_feasibility_max": float(max(0.0, -z.min())),
     }
     return res, obj, r_d, r_p
 
@@ -224,30 +242,24 @@ def _interior_point(problem: QpProblem, tol: float, max_iter: int) -> QpSolution
     best: QpSolution | None = None
     status = "max_iter"
     it = 0
-    stall = 0
+    stall, anchor = 0, np.inf
     for it in range(1, max_iter + 1):
-        res, obj, r_d, r_p = _residuals(problem, z, nu, mu)
+        res, obj, r_d, r_p = residuals(problem, z, nu, mu)
         gap = float(z @ mu) / n
         if not all(np.isfinite(v) for v in res.values()):
             status = "numerical_failure"
             break
         cur = QpSolution(z.copy(), obj, res, it - 1, "running",
                          nu.copy(), mu.copy())
-        if best is None:
+        worst = max(res.values())
+        if best is None or worst < max(best.kkt_residuals.values()):
             best = cur
-            anchor = _max_residual(cur)
-            stall = 0
+        if worst < 0.9 * anchor:
+            anchor, stall = worst, 0
         else:
-            if _max_residual(cur) < _max_residual(best):
-                best = cur
-            if _max_residual(cur) < 0.9 * anchor:
-                anchor = _max_residual(cur)
-                stall = 0
-            else:
-                stall += 1
-        if max(res.values()) <= tol:
+            stall += 1
+        if worst <= tol:
             status = "optimal"
-            best = cur
             break
         if stall >= 12:
             # converged as far as the arithmetic allows; grinding on only
@@ -311,8 +323,8 @@ def _crossover(problem: QpProblem, sol: QpSolution,
     active set suggested by the iterate and solving the reduced
     equality-constrained KKT system makes the products exactly zero up
     to linear-algebra precision.  Coordinates are swapped while sign
-    conditions fail; returns None if no verified improvement emerges
-    within the pivot budget.
+    conditions fail.  Returns None unless the face meets ``tol`` on
+    ``residuals``, with slack max(Qz + c - A'nu, 0), within the budget.
     """
     if not np.all(np.isfinite(sol.z)):
         return None
@@ -363,11 +375,10 @@ def _crossover(problem: QpProblem, sol: QpSolution,
     z = np.maximum(z, 0.0)
     # mu = max(Qz + c - A'nu, 0) leaves only the negative part in r_d
     mu = np.maximum(problem.q_mul(z) + problem.c - problem.at_mul(nu), 0.0)
-    res, obj, _, _ = _residuals(problem, z, nu, mu)
-    if not all(np.isfinite(v) for v in res.values()):
+    res, obj, _, _ = residuals(problem, z, nu, mu)
+    if not all(v <= tol for v in res.values()):
         return None
-    status = "optimal" if max(res.values()) <= tol else sol.status
-    return QpSolution(z, obj, res, sol.iterations, status, nu.copy(), mu)
+    return QpSolution(z, obj, res, sol.iterations, "optimal", nu.copy(), mu)
 
 
 def _solve_face(problem: QpProblem, idx: np.ndarray):

@@ -219,41 +219,19 @@ def recover_bias(scores_wo_b: np.ndarray, spec: LossSpec, y: np.ndarray,
 
 def verify_kkt(sol: qp.QpSolution, problem: qp.QpProblem, spec: LossSpec,
                y, C, scores_wo_b, b) -> dict[str, float]:
-    """Scale-normalized residuals of the optimality system.
+    """The model's scaled KKT residuals, recomputed from the raw solution.
 
-    Every equation is recomputed from the raw solution, with the slack
-    xi_i = L(u_i) at the margin u = 1 - y*(scores_wo_b + b).
-    stationarity_w: negative part of the dual slack Qz + c - A^T nu
-    (weight-stationarity multipliers must be nonnegative), relative to
-    the objective's gradient scale.  stationarity_b: balance equation
-    |sum_i s_i y_i| / (1 + ||s||_1).  stationarity_xi: per-sample cap
-    equations max_i |C_i - sum of blocks| / (1 + C_i).  complementarity_max:
-    multiplier-times-slack products of every piece, using the
-    recovered bias.  primal_feasibility_max: multiplier sign violations
-    (the slack xi_i = L(u_i) satisfies every piece by construction).
+    These are ``qp.residuals`` of (z, nu), the solver's own definition,
+    with the primal slacks xi_i - piece_m(u_i) as the complementarity
+    slack: u = 1 - y*(scores_wo_b + b) is the margin at the recovered
+    bias and xi_i = L(u_i) its loss, which satisfies every piece by
+    construction.
     """
-    z, nu = sol.z, sol.nu
-    l = y.size
-    k = spec.k
-    Qz = problem.q_mul(z)
-    mu = Qz + problem.c - problem.at_mul(nu)
-    grad_scale = 1.0 + np.abs(problem.c).max() + np.abs(Qz).max()
-    s = problem.combined(z)
-    blocks = z.reshape(k, l)
     u = 1.0 - y * (scores_wo_b + b)
     values = np.multiply.outer(loss.slopes(spec), u) \
         + loss.intercepts(spec)[:, None]
-    xi = values.max(axis=0)
-    return {
-        "stationarity_w": float(max(0.0, -mu.min()) / grad_scale),
-        "stationarity_b": float(abs(s @ y) / (1.0 + np.abs(s).sum())),
-        "stationarity_xi": float(
-            (np.abs(C - blocks.sum(axis=0)) / (1.0 + C)).max()),
-        "complementarity_max": float(
-            (np.abs(blocks * (xi - values)) / (1.0 + C)).max()),
-        # xi is the envelope itself, so no piece exceeds it
-        "primal_feasibility_max": float(max(0.0, -z.min())),
-    }
+    slack = values.max(axis=0) - values
+    return qp.residuals(problem, sol.z, sol.nu, slack=slack.ravel())[0]
 
 
 def reduction_equivalence(dataset, c0: float,

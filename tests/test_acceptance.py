@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from kplsvm import datasets, loss, modelsel, trainer
-from kplsvm.data import Dataset, split_dataset
+from kplsvm.data import Dataset
 from kplsvm.kernels import RBF_FORMS, KernelSpec
 from kplsvm.loss import LossSpec
 from kplsvm.model_io import load_model, save_model
@@ -45,15 +45,6 @@ def monk_dataset(which):
     n = len(try01)
     return Dataset(X, y, name=f"monk{which}",
                    split=(np.arange(n), np.arange(n, len(y))))
-
-
-def standin_dataset(name):
-    row = next(r for r in datasets.CORPUS_TABLE if r.name == name)
-    X, y01 = datasets.make_standin(name, row.rows, row.features,
-                                   seed=0, binary=row.binary)
-    ds = Dataset(X, y01 * 2.0 - 1.0, name=name)
-    ds.split = split_dataset(ds, row.n_train, seed=0)
-    return ds
 
 
 def test_criterion_01_hinge_reduction_on_monks(capsys):
@@ -98,16 +89,16 @@ CERT_LINEAR = ("monk1", "monk2", "monk3", "spect", "haberman",
 CERT_RBF = ("monk3", "heart-statlog", "fertility", "bupa")
 
 
-def _training_half(name):
+def _training_half(name, standin):
     if name.startswith("monk"):
         trX, try01, _, _ = datasets.make_monk(int(name[-1]))
         return trX, try01 * 2.0 - 1.0
-    ds = standin_dataset(name)
+    ds = standin(name)
     tr, _ = ds.split
     return ds.X[tr], ds.y[tr]
 
 
-def test_criterion_03_kkt_and_gap_on_replay_runs(capsys):
+def test_criterion_03_kkt_and_gap_on_replay_runs(capsys, standin):
     """Every replay training must certify optimality via KKT and gap."""
     t0 = time.perf_counter()
     worst_kkt = worst_gap = 0.0
@@ -117,7 +108,7 @@ def test_criterion_03_kkt_and_gap_on_replay_runs(capsys):
                               (BENCH_DIR / "replay_rbf.csv", CERT_RBF, "rbf")):
         table = modelsel._load_replay_table(path)
         for name in names:
-            X, y = _training_half(name)
+            X, y = _training_half(name, standin)
             for fam, c0, q, taus, eps in table[name]:
                 kspec = (KernelSpec() if kind == "linear"
                          else KernelSpec(kind="rbf", q=q))
@@ -274,7 +265,7 @@ def test_criterion_06_monk3_rbf_both_forms(capsys):
     assert ok
 
 
-def test_criterion_07_nested_family_dominance(capsys):
+def test_criterion_07_nested_family_dominance(capsys, standin):
     """Best held-out accuracy must be monotone along the nested families."""
     grids = GridSpec(
         tau_grid=tuple(round(-0.8 + 0.4 * i, 10) for i in range(5)),
@@ -283,7 +274,7 @@ def test_criterion_07_nested_family_dominance(capsys):
     t0 = time.perf_counter()
     details, ok = [], True
     for name in ("haberman", "heart-statlog"):
-        rep = staged_search(standin_dataset(name), grids=grids,
+        rep = staged_search(standin(name), grids=grids,
                             criterion="holdout")
         best = {f: rep.best_accuracy(f) for f in modelsel.FAMILIES}
         chain = (best["3pl"] >= best["2pl"] >= best["pinball"]

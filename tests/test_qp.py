@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from kplsvm import kernels, loss, qp
+from kplsvm import kernels, loss, qp, trainer
 from kplsvm.errors import InfeasibleError
 
 
@@ -331,3 +331,23 @@ class TestInteriorPoint:
         sol = qp.solve(problem)
         assert sol.status == "optimal"
         assert_kkt_certificate(problem, sol)
+
+
+class TestResiduals:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_optimal_means_every_model_residual_meets_tol(self, seed):
+        rng = np.random.default_rng(seed)
+        l = 30
+        y = np.where(np.arange(l) % 3 == 0, 1.0, -1.0)
+        X = rng.normal(size=(l, 2)) + y[:, None]
+        spec = loss.LossSpec(taus=(-0.6, 0.4), epsilons=(2.0, -1.0))
+        C = np.where(y > 0, 8.0, 4.0)       # class-balanced caps
+        problem = qp.assemble_dual(y[:, None] * X, y, C, spec)
+        tol = 1e-8
+        sol = qp.solve(problem, tol=tol)
+        assert sol.status == "optimal"
+        assert max(sol.kkt_residuals.values()) <= tol
+        scores = y * problem.h_mul(problem.combined(sol.z))
+        b = trainer.recover_bias(scores, spec, y, C)
+        report = trainer.verify_kkt(sol, problem, spec, y, C, scores, b)
+        assert sol.kkt_residuals.keys() == report.keys()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kplsvm import blas, datasets, kernels, loss, qp, trainer
-from kplsvm.data import Dataset, split_dataset
+from kplsvm.data import Dataset
 from kplsvm.errors import DataError, TrainingError
 from kplsvm.kernels import KernelSpec
 from kplsvm.loss import LossSpec
@@ -219,25 +219,83 @@ class TestSolverStatus:
         with pytest.raises(TrainingError, match="max_iter") as err:
             train(X, y, TrainParams(loss=loss.hinge(), c0=1.0, max_iter=2))
         assert "np.float64" not in str(err.value)
+        # the residuals carry the names of the model's own KKT report
+        assert "'complementarity_max'" in str(err.value)
 
-    def test_haberman_c0_128_cell_certifies(self):
+    def test_haberman_c0_128_cell_certifies(self, standin):
         # haberman stand-in (corpus seed 0, split seed 0, l = 150): this
         # cell ended `stalled` after 15 iterations while complementarity
         # was the mean product; as the largest product it falls steadily,
         # and the solve certifies in 19 iterations
-        row = next(r for r in datasets.CORPUS_TABLE if r.name == "haberman")
-        X, y01 = datasets.make_standin("haberman", row.rows, row.features,
-                                       seed=0, binary=row.binary)
-        y = y01 * 2.0 - 1.0
-        tr, _ = split_dataset(Dataset(X, y), row.n_train, seed=0)
+        ds = standin("haberman")
+        tr, _ = ds.split
         assert tr.size == 150
         params = TrainParams(loss=LossSpec(taus=(-0.8, 0.0),
                                            epsilons=(0.0, -1.0)),
                              c0=128.0, max_iter=200)
-        m = train(X[tr], y[tr], params)
+        m = train(ds.X[tr], ds.y[tr], params)
         assert m.diagnostics["qp_status"] == "optimal"
         assert m.diagnostics["kkt_max_residual"] <= 1e-6
         assert m.diagnostics["duality_gap_rel"] <= 1e-5
+
+    @pytest.mark.parametrize("name, corpus_seed, split_seed, taus, eps, c0, q", [
+        # labelled optimal by a solver that stopped on its own measure of
+        # complementarity, yet over the model's own KKT bound
+        ("echocardiogram", 0, 0, (-0.6, -0.8, -0.8), (-3.5, -2.0, -4.0),
+         16.0, None),
+        ("pima", 2, 0, (0.0,), (1.0,), 64.0, 1.0),
+        ("votes", 0, 0, (0.0, 1.0), (-2.5, 5.0), 64.0, None),
+        # stopped as `stalled` by the stall counter while still converging
+        ("ecoil", 0, 0, (-0.4, -0.4, 0.0), (3.5, -1.5, 2.5), 128.0, None),
+        ("australian", 0, 0, (0.0, -0.6), (2.0, -4.0), 128.0, None),
+        ("haberman", 1, 0, (0.0,), (0.0,), 128.0, None),     # hinge
+        ("haberman", 1, 1, (0.0,), (0.0,), 64.0, None),
+    ], ids=["echocardiogram", "pima-seed2-rbf", "votes", "ecoil",
+            "australian", "haberman-seed1-split0", "haberman-seed1-split1"])
+    def test_standin_cell_certifies(self, standin, name, corpus_seed,
+                                    split_seed, taus, eps, c0, q):
+        ds = standin(name, corpus_seed=corpus_seed, split_seed=split_seed)
+        tr, _ = ds.split
+        kernel = KernelSpec() if q is None else KernelSpec(kind="rbf", q=q)
+        m = train(ds.X[tr], ds.y[tr],
+                  TrainParams(loss=LossSpec(taus=taus, epsilons=eps),
+                              c0=c0, kernel=kernel))
+        assert m.diagnostics["qp_status"] == "optimal"
+        assert m.diagnostics["kkt_max_residual"] <= 1e-6
+        assert m.diagnostics["duality_gap_rel"] <= 1e-5
+
+    def test_certificate_sweep(self, standin):
+        # 320 seeded draws of k = 3 or 4 pieces, C0 = 2^-7..2^7 and about
+        # half RBF kernels over eight stand-ins: every train certifies
+        names = ("echocardiogram", "pima", "bupa", "ionosphere",
+                 "australian", "votes", "sonar", "ecoil")
+        data = {name: standin(name) for name in names}
+        tau_grid = np.round(np.linspace(-1.0, 1.0, 11), 10)
+        eps_grid = np.linspace(-5.0, 5.0, 21)
+        rng = np.random.default_rng(7)
+        failed, missed = [], []
+        for _ in range(320):
+            ds = data[names[rng.integers(8)]]
+            k = int(rng.integers(3, 5))
+            spec = LossSpec(
+                taus=tuple(float(t) for t in rng.choice(tau_grid, k - 1)),
+                epsilons=tuple(float(e) for e in rng.choice(eps_grid, k - 1)))
+            c0 = 2.0 ** int(rng.integers(-7, 8))
+            kernel = (KernelSpec(kind="rbf", q=2.0 ** int(rng.integers(-3, 4)))
+                      if rng.random() < 0.5 else KernelSpec())
+            cell = (ds.name, spec, c0, kernel)
+            tr, _ = ds.split
+            try:
+                m = train(ds.X[tr], ds.y[tr],
+                          TrainParams(loss=spec, c0=c0, kernel=kernel))
+            except TrainingError as err:
+                failed.append((cell, str(err)))
+                continue
+            if (m.diagnostics["kkt_max_residual"] > 1e-6
+                    or m.diagnostics["duality_gap_rel"] > 1e-5):
+                missed.append((cell, m.diagnostics["kkt_report"]))
+        assert failed == []
+        assert missed == []
 
 
 class TestFactorChoice:
