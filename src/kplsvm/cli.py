@@ -229,9 +229,12 @@ def cmd_loss_curve(args):
     except ValueError as exc:
         raise UsageError(f"--range: expected LO:HI, got {args.range!r}") \
             from exc
-    if not (hi > lo and args.step > 0):
-        raise UsageError("--range must be increasing and --step positive")
-    n = int(np.floor((hi - lo) / args.step + 1e-12)) + 1
+    span = (hi - lo) / args.step        # the point count less one
+    if not (hi > lo and args.step > 0
+            and np.isfinite([lo, hi, args.step, span]).all()):
+        raise UsageError("--range must be finite and increasing and "
+                         "--step finite and positive")
+    n = int(np.floor(span + 1e-12)) + 1
     us = lo + args.step * np.arange(n)
     vals = eval_loss(loss, us)
     lines = ["u,loss"] + [f"{float(u)!r},{float(v)!r}"

@@ -20,7 +20,8 @@ Gram matrix uses F = ``gram_factor(G)``, its jittered Cholesky factor
 ``solve`` runs a primal-dual interior-point method with Mehrotra's
 predictor-corrector steps.  Its Newton system is solved by block
 elimination down to one r x r Cholesky factorization per iteration, so
-an iteration costs O(k*l + l*r^2 + r^3).
+an iteration costs O(k*l + l*r^2 + r^3).  Each direction is one solve
+over that factor, not refined (``_factorize`` says why).
 An active-set crossover then polishes the last iterate onto an exact
 face.  It solves each face in the null space of its simplex rows,
 through a Cholesky factorization too.
@@ -248,6 +249,8 @@ def _interior_point(problem: QpProblem, tol: float, max_iter: int) -> QpSolution
         gap = float(z @ mu) / n
         if not all(np.isfinite(v) for v in res.values()):
             status = "numerical_failure"
+            if best is None:    # no finite iterate to fall back on
+                best = QpSolution(z, obj, res, 0, status, nu, mu)
             break
         cur = QpSolution(z.copy(), obj, res, it - 1, "running",
                          nu.copy(), mu.copy())
@@ -437,7 +440,10 @@ def _factorize(problem: QpProblem, d: np.ndarray):
         (Q + diag(d)) dz - A' dnu = r1
         A dz                      = r2
 
-    reusable for the predictor and corrector right-hand sides.
+    reusable for the predictor and corrector right-hand sides.  The
+    solve is not refined: ``_interior_point`` recomputes its residuals
+    from scratch every iteration and stops only on them, so an inexact
+    direction costs at most another iteration, never accuracy.
 
     Block elimination reduces it to one r x r Cholesky, using H = WW'.
     With P = reg + d (positive diagonal, viewed per block) and
@@ -491,21 +497,4 @@ def _factorize(problem: QpProblem, d: np.ndarray):
                      - np.multiply.outer(coeffs, Wv).ravel())
         return dz, dnu
 
-    def refined(r1: np.ndarray, r2: np.ndarray):
-        # iterative refinement; the Schur pieces scale like 1/reg near
-        # convergence and eat ~8 digits without it
-        dz, dnu = solve_kkt(r1, r2)
-        scale = 1.0 + max(np.abs(r1).max(), np.abs(r2).max())
-        prev = np.inf
-        for _ in range(3):
-            rr1 = r1 - (problem.q_mul(dz) + d * dz - problem.at_mul(dnu))
-            rr2 = r2 - problem.a_mul(dz)
-            err = max(np.abs(rr1).max(), np.abs(rr2).max())
-            if err <= 1e-13 * scale or err >= 0.5 * prev:
-                break
-            prev = err
-            ez, enu = solve_kkt(rr1, rr2)
-            dz, dnu = dz + ez, dnu + enu
-        return dz, dnu
-
-    return refined
+    return solve_kkt

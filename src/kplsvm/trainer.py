@@ -149,7 +149,7 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
 
     b = recover_bias(scores_wo_b, spec, y, C)
 
-    report = verify_kkt(sol, problem, spec, y, C, scores_wo_b, b)
+    report = verify_kkt(sol, problem, spec, y, scores_wo_b, b)
 
     dual_value = -sol.objective     # maximized dual of the original problem
     norm_w_sq = float(beta @ scores_wo_b)
@@ -218,14 +218,14 @@ def recover_bias(scores_wo_b: np.ndarray, spec: LossSpec, y: np.ndarray,
 
 
 def verify_kkt(sol: qp.QpSolution, problem: qp.QpProblem, spec: LossSpec,
-               y, C, scores_wo_b, b) -> dict[str, float]:
+               y, scores_wo_b, b) -> dict[str, float]:
     """The model's scaled KKT residuals, recomputed from the raw solution.
 
     These are ``qp.residuals`` of (z, nu), the solver's own definition,
     with the primal slacks xi_i - piece_m(u_i) as the complementarity
     slack: u = 1 - y*(scores_wo_b + b) is the margin at the recovered
     bias and xi_i = L(u_i) its loss, which satisfies every piece by
-    construction.
+    construction.  The residual scales use the problem's caps.
     """
     u = 1.0 - y * (scores_wo_b + b)
     values = np.multiply.outer(loss.slopes(spec), u) \

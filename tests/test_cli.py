@@ -257,6 +257,13 @@ class TestLossCurve:
                          "--range", "3:1"]) == cli.EXIT_USAGE
         assert cli.main(["loss-curve", "--taus", "0", "--epsilons", "0",
                          "--range", "nope"]) == cli.EXIT_USAGE
+        # non-finite bounds, step or point count
+        for flags in (["--step", "inf"], ["--step", "nan"],
+                      ["--range", "0:inf"], ["--range=-inf:0"],
+                      ["--range", "nan:1"],
+                      ["--range", "0:1e300", "--step", "1e-300"]):
+            assert cli.main(["loss-curve", "--taus", "0", "--epsilons", "0",
+                             *flags]) == cli.EXIT_USAGE, flags
         capsys.readouterr()
 
 

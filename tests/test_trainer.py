@@ -194,6 +194,9 @@ class TestTrainBasics:
         Xn = m.normalizer.apply(X)
         manual = kernels.cross_gram(m.kernel, Xn, m.support_x) @ m.beta + m.bias
         np.testing.assert_allclose(m.decision_function(X), manual, atol=1e-12)
+        # support rows are stored normalized: each is a row of Xn
+        rows = {tuple(r) for r in Xn}
+        assert all(tuple(r) in rows for r in m.support_x)
 
 
 class TestSolverStatus:
@@ -221,6 +224,16 @@ class TestSolverStatus:
         assert "np.float64" not in str(err.value)
         # the residuals carry the names of the model's own KKT report
         assert "'complementarity_max'" in str(err.value)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_non_finite_first_residuals_fail_as_training_error(self, scale):
+        # H overflows, so the first residuals are already not finite and
+        # the solve has no finite iterate to return
+        X, y = blob_pair()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match="numerical_failure"):
+                train(X * scale, y, TrainParams(loss=loss.hinge(), c0=1.0),
+                      normalize=False)
 
     def test_haberman_c0_128_cell_certifies(self, standin):
         # haberman stand-in (corpus seed 0, split seed 0, l = 150): this
@@ -563,8 +576,9 @@ class TestKktReport:
         return sol, problem, loss.canonical(spec), y, C, scores, b
 
     def test_clean_fit_passes_thresholds(self):
-        args = self.fit_with_internals(loss.hinge(), 5.0)
-        report = trainer.verify_kkt(*args)
+        sol, problem, spec, y, _, scores, b = self.fit_with_internals(
+            loss.hinge(), 5.0)
+        report = trainer.verify_kkt(sol, problem, spec, y, scores, b)
         assert max(report.values()) <= 1e-6
         assert report["stationarity_xi"] <= 1e-8    # per-sample cap rows
 
@@ -576,7 +590,7 @@ class TestKktReport:
         # the scores G(s o y) = y o (H s) that the perturbed point implies
         scores_bad = y * problem.h_mul(problem.combined(z_bad))
         report = trainer.verify_kkt(dataclasses.replace(sol, z=z_bad),
-                                    problem, spec, y, C, scores_bad, b)
+                                    problem, spec, y, scores_bad, b)
         assert report["complementarity_max"] > 1e-3
 
     def test_residuals_match_per_piece_loop(self):
@@ -591,7 +605,7 @@ class TestKktReport:
             z[block] = -0.01
             scores = rng.normal(size=l)
             report = trainer.verify_kkt(dataclasses.replace(sol, z=z),
-                                        problem, spec, y, C, scores, b)
+                                        problem, spec, y, scores, b)
             # oracle: the identity piece, then one loop pass per piece
             blocks = z.reshape(spec.k, l)
             u = 1.0 - y * (scores + b)
