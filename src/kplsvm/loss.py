@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -220,17 +221,35 @@ def fit_from_pieces(piece_list) -> LossSpec:
 
 
 def canonical(spec: LossSpec) -> LossSpec:
-    """Sorted spec with exact duplicate (tau, eps) pairs removed.
+    """The envelope-minimal spec: the same loss from the fewest pieces.
 
-    Duplicate pieces are mathematically inert: they add redundant dual
-    blocks without changing the loss.  The canonical form is used for
-    cache keys and to keep dual problems minimal.
+    The pieces are sorted and exact duplicates dropped; then only the
+    non-identity pieces that top the envelope on some interval are kept
+    (between neighbouring ``kinks``, left of the first and right of the
+    last), compared by ``eval_loss`` at one point inside each interval.
+    A piece that stays below the envelope, or only touches it at a kink,
+    adds a dual block without changing the loss, so a k-piece spec with
+    such a piece is the smaller loss it equals (a 3-piece cell with a
+    dominated piece is its 2-piece twin).  The identity is always kept.
+    When every other piece lies below it (tau = -1, eps <= 0) the sorted
+    form is returned, since a trainable spec needs k >= 2.  The
+    canonical form is used for cache keys and to keep dual problems
+    minimal.
     """
     pairs = sorted(set(zip(spec.taus, spec.epsilons)))
-    return LossSpec(
-        taus=tuple(t for t, _ in pairs),
-        epsilons=tuple(e for _, e in pairs),
-    )
+    full = LossSpec(taus=tuple(t for t, _ in pairs),
+                    epsilons=tuple(e for _, e in pairs))
+    u, _ = kinks(full)
+    at = (np.concatenate(([u[0] - 1.0], 0.5 * (u[:-1] + u[1:]),
+                          [u[-1] + 1.0])) if u.size else np.zeros(1))
+    values = np.multiply.outer(at, slopes(full)) + intercepts(full)
+    on_top = values >= eval_loss(full, at)[:, None]
+    # a copy of the identity (tau = -1, eps = 0) ties it and is dropped
+    tops = (on_top[:, 1:] & ~on_top[:, :1]).any(axis=0)
+    if not tops.any():
+        return full
+    return LossSpec(taus=tuple(compress(full.taus, tops)),
+                    epsilons=tuple(compress(full.epsilons, tops)))
 
 
 def check_properties(spec: LossSpec) -> LossPropertyReport:

@@ -144,9 +144,11 @@ class _Scorer:
     """Criterion evaluation with a canonical-spec result cache.
 
     Duplicate grid cells (pieces in a different order, duplicated
-    pieces, the tau=0 pinball cell vs. plain hinge) canonicalize to the
-    same training problem, so their criterion values are shared —
-    which also makes the nested-family dominance of the report exact.
+    pieces, the tau=0 pinball cell vs. plain hinge, a 3-piece cell
+    whose extra piece never tops the envelope vs. its 2-piece twin)
+    canonicalize to the same envelope-minimal training problem, so their
+    criterion values are shared — which also makes the nested-family
+    dominance of the report exact.
     The scorer holds no lock: ``_run_cells`` never scores one key on
     two threads at once.
     """
@@ -163,9 +165,10 @@ class _Scorer:
     def score(self, spec, c0, kspec):
         """(accuracy | None, error | None, seconds) for one config.
 
-        ``spec`` is canonical: it is both the cache key and what gets
-        trained.  The first call of a key trains it and reports its
-        time; a later call reads the cached result and reports 0.0.
+        ``spec`` is canonical (envelope-minimal): it is both the cache
+        key and what gets trained.  The first call of a key trains it
+        and reports its time; a later call reads the cached result and
+        reports 0.0.
         """
         k = _key(spec, c0, kspec)
         if k in self._cache:
@@ -243,10 +246,12 @@ def _key(spec, c0, kspec):
 def _run_cells(cells, scorer, kernel_kind, jobs=1):
     """Score (family, c0, q, taus, eps) cells; one record each, in order.
 
-    The first cell of a canonical key in grid order trains it and keeps
-    its time; later ones read 0.0 s.  A cell whose loss cannot be built
-    is recorded with its error.  With the RBF kernel those first cells
-    train on ``jobs`` threads, as l x l factorizations release the
+    Each cell's loss is canonicalized once to its envelope-minimal spec,
+    the key of its training problem; each record keeps the cell's own
+    taus and epsilons.  The first cell of a key in grid order trains it
+    and keeps its time; later ones read 0.0 s.  A cell whose loss cannot
+    be built is recorded with its error.  With the RBF kernel those first
+    cells train on ``jobs`` threads, as l x l factorizations release the
     interpreter lock; linear trains hold it, so they run on this thread.
     """
     configs, first = [], {}

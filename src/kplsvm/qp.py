@@ -39,7 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from . import loss
-from .errors import InfeasibleError
+from .errors import InfeasibleError, TrainingError
 from .loss import LossSpec
 
 __all__ = [
@@ -194,6 +194,8 @@ def solve(problem: QpProblem, tol: float = 1e-8,
 
     The polish replaces the interior-point iterate only when it verifies.
     """
+    if not max_iter >= 1:
+        raise TrainingError(f"max_iter must be at least 1, got {max_iter}")
     sol = _interior_point(problem, tol=tol, max_iter=max_iter)
     polished = _crossover(problem, sol, tol)
     return sol if polished is None else polished

@@ -36,7 +36,9 @@ class TrainParams:
     ``active_threshold`` only prunes support rows: a sample whose
     combined multiplier is at most ``active_threshold * c0`` is left out
     of the model, unless that would move a training score by more than
-    1e-6.
+    1e-6.  ``canonicalize`` trains ``loss.canonical(loss)``, the same
+    loss without the pieces that never top its envelope, so the dual has
+    no inert blocks; the model still stores ``loss`` as given.
     """
 
     loss: LossSpec

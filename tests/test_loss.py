@@ -204,6 +204,71 @@ class TestCanonical:
             loss.eval_loss(loss.canonical(spec), u), loss.eval_loss(spec, u)
         )
 
+    def test_dominated_piece_dropped(self):
+        # -0.2u - 1 lies below max(u, -0.5u) everywhere
+        spec = loss.LossSpec(taus=(0.5, 0.2), epsilons=(0.0, -1.0))
+        assert loss.canonical(spec) == loss.pinball(0.5)
+        # a parallel piece under the hinge's flat part
+        spec = loss.LossSpec(taus=(0.0, 0.0), epsilons=(-1.0, 0.0))
+        assert loss.canonical(spec) == loss.hinge()
+
+    def test_piece_through_a_kink_dropped(self):
+        # 0.5u meets max(u, 0) only at its kink u = 0
+        spec = loss.LossSpec(taus=(-0.5, 0.0), epsilons=(0.0, 0.0))
+        assert loss.canonical(spec) == loss.hinge()
+
+    def test_piece_above_identity_kept(self):
+        # u + 1 tops the identity everywhere; the identity stays anyway
+        spec = loss.LossSpec(taus=(0.0, -1.0), epsilons=(0.0, 1.0))
+        assert loss.canonical(spec) == loss.LossSpec(
+            taus=(-1.0, 0.0), epsilons=(1.0, 0.0))
+        above = loss.LossSpec(taus=(-1.0,), epsilons=(2.0,))
+        assert loss.canonical(above) == above
+
+    def test_identity_copy_dropped(self):
+        spec = loss.LossSpec(taus=(-1.0, 0.0), epsilons=(0.0, 0.0))
+        assert loss.canonical(spec) == loss.hinge()
+
+    def test_all_pieces_below_identity_keep_sorted_form(self):
+        # the loss is u itself, but a trainable spec needs k >= 2
+        spec = loss.LossSpec(taus=(-1.0, -1.0, -1.0),
+                             epsilons=(0.0, -2.0, 0.0))
+        got = loss.canonical(spec)
+        assert got == loss.LossSpec(taus=(-1.0, -1.0), epsilons=(-2.0, 0.0))
+        assert got.k >= 2
+
+    @given(st.one_of(specs(GRID_TAUS, GRID_EPS),
+                     specs(CROSSING_TAUS, CROSSING_EPS)))
+    @settings(max_examples=200, deadline=None)
+    def test_idempotent(self, spec):
+        once = loss.canonical(spec)
+        assert loss.canonical(once) == once
+
+    @given(specs(GRID_TAUS, GRID_EPS))
+    @example(loss.LossSpec(taus=(-0.5, 0.0, 0.5), epsilons=(0.0, 0.0, 0.0)))
+    @example(loss.LossSpec(taus=(-1.0, 0.25, 0.0), epsilons=(1.0, 0.0, -1.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_same_loss_and_every_kept_piece_tops(self, spec):
+        got = loss.canonical(spec)
+        u, _ = loss.kinks(spec)
+        mid = 0.5 * (u[:-1] + u[1:])
+        at = np.concatenate((u, mid, [-40.0, -1.0, 0.0, 1.0, 40.0]))
+        np.testing.assert_allclose(
+            loss.eval_loss(got, at), loss.eval_loss(spec, at), rtol=0, atol=0)
+        if all(t == -1.0 and e <= 0.0
+               for t, e in zip(got.taus, got.epsilons)):
+            return      # the loss is u itself; the sorted form is kept
+        # each kept non-identity piece is strictly on top somewhere, so
+        # its interval is open: inside the kept spec's kink intervals
+        v, _ = loss.kinks(got)
+        probe = np.concatenate(
+            ([-40.0], 0.5 * (v[:-1] + v[1:]), [40.0])) if v.size else [0.0]
+        values = np.multiply.outer(probe, loss.slopes(got)) \
+            + loss.intercepts(got)
+        for m in range(1, got.k):
+            others = np.delete(values, m, axis=1).max(axis=1)
+            assert (values[:, m] > others).any(), (got, m)
+
 
 class TestProperties:
     def test_hinge_report(self):

@@ -165,6 +165,16 @@ class TestStagedSearch:
                and r.epsilons[0] == r.epsilons[1]]
         for r in dup:
             assert r.accuracy == two[(r.taus[0], r.epsilons[0])]
+        # a 3pl cell with a piece under the envelope is its 2pl twin
+        dominated = 0
+        for r in rep.records:
+            if r.family != "3pl" or r in dup:
+                continue
+            canon = loss.canonical(loss.LossSpec(r.taus, r.epsilons))
+            if canon.k == 2:
+                dominated += 1
+                assert r.accuracy == two[canon.taus[0], canon.epsilons[0]]
+        assert dominated > 0
 
     def test_stage1_monk3_published_c0_near_optimal(self):
         # Full power-of-two C0 sweep.  The regenerated train draw can
@@ -271,6 +281,26 @@ class TestStagedSearch:
                     if r.time_s != 0.0] == [0, 2]
             assert records[0].accuracy == records[1].accuracy
             assert records[2].accuracy == records[3].accuracy
+
+    def test_dominated_cell_shares_its_2pl_twins_key(self, monkeypatch):
+        real = modelsel.train
+        trained = []
+
+        def counted(X, y, params):
+            trained.append(params.loss)
+            return real(X, y, params)
+
+        monkeypatch.setattr(modelsel, "train", counted)
+        scorer = modelsel._Scorer(blob_dataset(), "holdout", folds=5)
+        # -0.2u - 1 lies below max(u, -0.5u): the 3pl cell is the 2pl one
+        cells = [("2pl", 1.0, None, (0.5,), (0.0,)),
+                 ("3pl", 1.0, None, (0.5, 0.2), (0.0, -1.0))]
+        two, three = modelsel._run_cells(cells, scorer, "linear")
+        assert trained == [loss.pinball(0.5)]
+        assert two.accuracy is not None and three.accuracy == two.accuracy
+        assert two.time_s > 0.0 and three.time_s == 0.0
+        assert (three.taus, three.epsilons) == ((0.5, 0.2), (0.0, -1.0))
+        assert (two.taus, two.epsilons) == ((0.5,), (0.0,))
 
     def test_each_cell_canonicalizes_once(self, monkeypatch):
         real = loss.canonical

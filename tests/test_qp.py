@@ -3,7 +3,7 @@ import pytest
 import scipy.optimize
 
 from kplsvm import kernels, loss, qp, trainer
-from kplsvm.errors import InfeasibleError
+from kplsvm.errors import InfeasibleError, TrainingError
 
 
 def dense_qa(problem):
@@ -234,6 +234,13 @@ class TestFaceSolve:
 
 
 class TestInteriorPoint:
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        # as TrainParams does; the loop would run no iteration
+        problem = toy_dual(loss.hinge(), [1.0, 1.0, -1.0, -1.0], [1.0] * 4)
+        with pytest.raises(TrainingError, match="max_iter must be at least 1"):
+            qp.solve(problem, max_iter=max_iter)
+
     def test_two_point_hinge_toy(self):
         spec = loss.hinge()
         X = np.array([[-1.0], [1.0]])
