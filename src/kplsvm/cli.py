@@ -89,12 +89,21 @@ def _add_kernel_flags(p):
                    choices=RBF_FORMS, help="RBF formula variant")
 
 
+def _at_least(lo):
+    """argparse type: an integer >= ``lo``; anything else exits 2."""
+    def integer(text):
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}")
+        return int(text)
+    return integer
+
+
 def _add_search_flags(p):
     p.add_argument("--kernel", default="linear", choices=KERNEL_KINDS)
     p.add_argument("--criterion", default="cv",
                    choices=("cv", "holdout"))
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--folds", type=_at_least(2), default=5)
+    p.add_argument("--jobs", type=_at_least(1), default=os.cpu_count() or 1,
                    help="threads for RBF grid cells; linear cells run "
                    "in order on the calling thread")
     p.add_argument("--c0-grid", dest="c0_grid", default=None)

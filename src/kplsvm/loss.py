@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -145,24 +144,48 @@ def crossings(spec: LossSpec):
     return a, b, u, s[a] * u + e[a]
 
 
+def _envelope(spec: LossSpec):
+    """The upper envelope: ``(top, u)`` from one sweep in slope order.
+
+    ``top`` holds the (tau, eps) pairs on top, the identity as (-1, 0),
+    and ``u`` the kinks between them.  A new piece pops the top one while
+    it reaches the top one's left kink (u = 0 for a parallel bottom
+    piece) within 1e-9 relative, the dual of Andrew's monotone chain;
+    one parallel to the top one and below it is dropped.
+    """
+    top, u = [], []
+    pairs = set(zip(spec.taus, spec.epsilons)) | {(-1.0, 0.0)}
+    for t, e in sorted(pairs, key=lambda p: (-p[0], p[1])):
+        while top:
+            t0, e0 = top[-1]
+            x = u[-1] if u else 0.0
+            at = e0 - t0 * x
+            if (e - t * x < at - 1e-9 * (1.0 + abs(at))
+                    or not u and t0 - t >= _PARALLEL_TOL):
+                break
+            top.pop()
+            del u[-1:]
+        if top and top[-1][0] - t < _PARALLEL_TOL:
+            continue
+        if top:
+            u.append((top[-1][1] - e) / (top[-1][0] - t))
+        top.append((t, e))
+    return top, u
+
+
 def kinks(spec: LossSpec):
     """Where the envelope's slope jumps: arrays ``(u, jump)``, u ascending.
 
-    The kinks are the crossings that reach the envelope.  Each jump is the
-    envelope's slope right of its kink less the slope left of it, read off
-    the top piece between neighbouring kinks, so near-coincident kinks
-    share one jump and the jumps add up to max slope - min slope.
+    A jump is the top slope right of its kink less the one left of it;
+    near-coincident kinks are one kink, and the jumps add up to max
+    slope - min slope, as a dropped parallel piece still sets the slope
+    far out.
     """
-    _, _, u, value = crossings(spec)
-    top = eval_loss(spec, u)
-    u = np.unique(u[value >= top - 1e-9 * (1.0 + np.abs(top))])
-    if not u.size:
-        return u, u
-    s = slopes(spec)
-    mid = np.multiply.outer(0.5 * (u[:-1] + u[1:]), s) + intercepts(spec)
-    jump = np.diff(
-        np.concatenate(([s.min()], s[mid.argmax(axis=1)], [s.max()])))
-    return u[jump > 0], jump[jump > 0]
+    top, u = _envelope(spec)
+    s = [-t for t, _ in top]
+    if u:
+        s[0], s[-1] = slopes(spec).min(), slopes(spec).max()
+    return np.array(u), np.diff(s)
 
 
 def eval_loss(spec: LossSpec, u):
@@ -223,33 +246,18 @@ def fit_from_pieces(piece_list) -> LossSpec:
 def canonical(spec: LossSpec) -> LossSpec:
     """The envelope-minimal spec: the same loss from the fewest pieces.
 
-    The pieces are sorted and exact duplicates dropped; then only the
-    non-identity pieces that top the envelope on some interval are kept
-    (between neighbouring ``kinks``, left of the first and right of the
-    last), compared by ``eval_loss`` at one point inside each interval.
-    A piece that stays below the envelope, or only touches it at a kink,
-    adds a dual block without changing the loss, so a k-piece spec with
-    such a piece is the smaller loss it equals (a 3-piece cell with a
-    dominated piece is its 2-piece twin).  The identity is always kept.
-    When every other piece lies below it (tau = -1, eps <= 0) the sorted
-    form is returned, since a trainable spec needs k >= 2.  The
-    canonical form is used for cache keys and to keep dual problems
-    minimal.
+    The sorted, deduplicated pieces that ``_envelope`` leaves on top are
+    kept; a piece below the envelope or touching it only at a kink adds
+    a dual block without changing the loss.  A copy of the identity is
+    dropped.  When no other piece tops the identity (tau = -1, eps <= 0)
+    the sorted form is returned, since training needs k >= 2.  The form
+    is idempotent and keys the search's cache.
     """
     pairs = sorted(set(zip(spec.taus, spec.epsilons)))
-    full = LossSpec(taus=tuple(t for t, _ in pairs),
-                    epsilons=tuple(e for _, e in pairs))
-    u, _ = kinks(full)
-    at = (np.concatenate(([u[0] - 1.0], 0.5 * (u[:-1] + u[1:]),
-                          [u[-1] + 1.0])) if u.size else np.zeros(1))
-    values = np.multiply.outer(at, slopes(full)) + intercepts(full)
-    on_top = values >= eval_loss(full, at)[:, None]
-    # a copy of the identity (tau = -1, eps = 0) ties it and is dropped
-    tops = (on_top[:, 1:] & ~on_top[:, :1]).any(axis=0)
-    if not tops.any():
-        return full
-    return LossSpec(taus=tuple(compress(full.taus, tops)),
-                    epsilons=tuple(compress(full.epsilons, tops)))
+    on_top = set(_envelope(spec)[0]) - {(-1.0, 0.0)}
+    kept = [p for p in pairs if p in on_top] or pairs
+    return LossSpec(taus=tuple(t for t, _ in kept),
+                    epsilons=tuple(e for _, e in kept))
 
 
 def check_properties(spec: LossSpec) -> LossPropertyReport:

@@ -166,9 +166,9 @@ class _Scorer:
         """(accuracy | None, error | None, seconds) for one config.
 
         ``spec`` is canonical (envelope-minimal): it is both the cache
-        key and what gets trained.  The first call of a key trains it
-        and reports its time; a later call reads the cached result and
-        reports 0.0.
+        key and what gets trained, as ``train`` leaves it unchanged.
+        The first call of a key trains it and reports its time; a later
+        call reads the cached result and reports 0.0.
         """
         k = _key(spec, c0, kspec)
         if k in self._cache:
@@ -182,8 +182,7 @@ class _Scorer:
         return acc, err, time.perf_counter() - t0
 
     def _score_uncached(self, spec, c0, kspec):
-        params = TrainParams(loss=spec, c0=c0, kernel=kspec,
-                             canonicalize=False)
+        params = TrainParams(loss=spec, c0=c0, kernel=kspec)
         if self.criterion == "holdout":
             model = train(self.X[self.tr], self.y[self.tr], params)
             return evaluate(model, self.X[self.te], self.y[self.te])

@@ -38,7 +38,9 @@ class TrainParams:
     of the model, unless that would move a training score by more than
     1e-6.  ``canonicalize`` trains ``loss.canonical(loss)``, the same
     loss without the pieces that never top its envelope, so the dual has
-    no inert blocks; the model still stores ``loss`` as given.
+    no inert blocks; the model still stores ``loss`` as given.  The form
+    is idempotent, so a canonical spec trains as it is; ``False`` is for
+    solving the larger dual on purpose.
     """
 
     loss: LossSpec

@@ -328,6 +328,26 @@ class TestGridSearchCommand:
         assert capsys.readouterr().out == with_seed_7
         assert with_seed_7 != with_seed_8
 
+    @pytest.mark.parametrize("flags", [("--folds", "1"), ("--folds", "0"),
+                                       ("--jobs", "0"), ("--jobs", "-3"),
+                                       ("--jobs", "two")])
+    @pytest.mark.parametrize("command", ["grid-search", "bench"])
+    def test_bad_folds_or_jobs_is_usage_error(self, command, flags,
+                                              monk3_files, tmp_path, capsys):
+        if command == "grid-search":
+            args = ["grid-search", "--data",
+                    str(monk3_files["corpus"] / "monk3.csv"),
+                    "--n-train", "122"]
+        else:
+            args = ["bench", "--manifest",
+                    str(monk3_files["corpus"] / "manifest.csv"),
+                    "--outdir", str(tmp_path / "rep")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + list(flags))
+        assert exc.value.code == cli.EXIT_USAGE
+        assert flags[0] in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
 
 class TestBenchCommand:
     def test_replay_linear_monk3(self, monk3_files, tmp_path, capsys):

@@ -132,6 +132,7 @@ class TestEnvelopeKinks:
     @example(loss.LossSpec(taus=(0.0, 0.0), epsilons=(0.0, 9.1e-180)))
     @example(loss.LossSpec(taus=(0.0, 0.0), epsilons=(1e-300, 0.0)))
     @example(loss.LossSpec(taus=(-1.0, 0.4), epsilons=(2.0, 1.0)))
+    @example(loss.LossSpec(taus=(0.0, 7e-10), epsilons=(0.0, 0.0)))
     @settings(max_examples=300, deadline=None)
     def test_jumps_add_up_to_the_slope_range(self, spec):
         u, jump = loss.kinks(spec)
@@ -216,6 +217,39 @@ class TestCanonical:
         # 0.5u meets max(u, 0) only at its kink u = 0
         spec = loss.LossSpec(taus=(-0.5, 0.0), epsilons=(0.0, 0.0))
         assert loss.canonical(spec) == loss.hinge()
+
+    def test_three_pieces_through_one_point(self):
+        # 0.8u + 1, 0.4u + 3 and u all pass through (5, 5); the slopes
+        # are not dyadic, so the crossings agree only within rounding,
+        # and the middle piece must still be dropped
+        spec = loss.LossSpec((-0.8, -0.4), (1.0, 3.0))
+        assert loss.canonical(spec) == loss.LossSpec((-0.4,), (3.0,))
+        u, jump = loss.kinks(spec)
+        assert u.tolist() == [5.0]
+        np.testing.assert_allclose(jump, [0.6], rtol=0, atol=1e-12)
+        # -1.25u + 1.5, -0.5u + 1 and u pass through (2/3, 2/3): dyadic
+        # pieces, a kink that is not, and the middle piece reaches the
+        # envelope there only within rounding
+        spec = loss.LossSpec((1.25, 0.5), (1.5, 1.0))
+        assert loss.canonical(spec) == loss.LossSpec((1.25,), (1.5,))
+        u, jump = loss.kinks(spec)
+        np.testing.assert_allclose(u, [2.0 / 3.0], rtol=1e-15)
+        assert jump.tolist() == [2.25]
+
+    @pytest.mark.parametrize("taus, eps, kept", [
+        ((1e-10, 0.0), (5.0, 0.0), 0),
+        ((0.3, 0.3 + 1e-11), (1.0, 2.0), 1),
+        ((0.3 - 1e-11, 0.3), (2.0, 1.0), 0),
+    ])
+    def test_near_parallel_piece_below_dropped(self, taus, eps, kept):
+        # slopes within 1e-9 count as parallel: the higher piece stays,
+        # whichever of the two is steeper
+        spec = loss.LossSpec(taus, eps)
+        assert loss.canonical(spec) == loss.LossSpec((taus[kept],),
+                                                     (eps[kept],))
+        u = np.linspace(-50.0, 50.0, 201)
+        np.testing.assert_allclose(loss.eval_loss(loss.canonical(spec), u),
+                                   loss.eval_loss(spec, u), atol=1e-8)
 
     def test_piece_above_identity_kept(self):
         # u + 1 tops the identity everywhere; the identity stays anyway

@@ -58,6 +58,18 @@ class TestGridSpec:
         cells = sum(1 for _ in modelsel._family_params("3pl", GridSpec()))
         assert cells == 11 * 11 * 21 * 21
 
+    def test_stage2_canonical_key_count(self):
+        # the criterion-07 stage-2 grid: its pinball, 2pl and 3pl cells
+        # at one (C0, q) reduce to 651 envelope-minimal training problems
+        grids = GridSpec(tau_grid=(-0.8, -0.4, 0.0, 0.4, 0.8),
+                         eps_grid=tuple(range(-5, 6)))
+        specs = [loss.LossSpec(taus, eps)
+                 for family in ("pinball", "2pl", "3pl")
+                 for taus, eps in modelsel._family_params(family, grids)]
+        assert len(specs) == 3085
+        keys = {loss.canonical(s) for s in specs}
+        assert collections.Counter(s.k for s in keys) == {3: 596, 2: 55}
+
     @pytest.mark.parametrize("bad", [
         dict(c0_grid=()),
         dict(tau_grid=(0.0, 0.0)),
@@ -318,7 +330,11 @@ class TestStagedSearch:
                  ("3pl", 1.0, None, (-0.4, 0.4), (0.0, 0.5)),
                  ("3pl", 1.0, None, (0.0, 0.0), (1.0, 1.0))]
         records = modelsel._run_cells(cells, scorer, "linear")
-        assert len(calls) == len(cells)
+        # once per cell in the search, then once more per trained key
+        # inside train, where the canonical spec maps to itself
+        assert calls[:len(cells)] == [
+            loss.LossSpec(taus, eps) for _, _, _, taus, eps in cells]
+        assert calls[len(cells):] == [real(calls[0]), real(calls[2])]
         # each record keeps its cell's own parameters
         assert [(r.taus, r.epsilons) for r in records] == [
             (taus, eps) for _, _, _, taus, eps in cells]
