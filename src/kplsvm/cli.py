@@ -98,6 +98,13 @@ def _at_least(lo):
     return integer
 
 
+def _finite_positive(text):
+    """argparse type: a finite float > 0; anything else exits 2."""
+    if not (np.isfinite(float(text)) and float(text) > 0):
+        raise argparse.ArgumentTypeError("must be finite and positive")
+    return float(text)
+
+
 def _add_search_flags(p):
     p.add_argument("--kernel", default="linear", choices=KERNEL_KINDS)
     p.add_argument("--criterion", default="cv",
@@ -256,17 +263,17 @@ def cmd_verify(args):
     """Re-derive the optimality report for a stored model.
 
     The data file must be the model's training set.  Training is
-    deterministic, so refitting with the stored parameters reproduces
-    the solution; its KKT residuals are printed and checked against
-    --tol, and the stored coefficients must reproduce the refit's
-    decision values.
+    deterministic, so refitting with the stored parameters (normalizing
+    only if the model did) reproduces the solution; its KKT residuals
+    are printed and checked against --tol, and the stored coefficients
+    must reproduce the refit's decision values.
     """
     model = load_model(args.model)
     ds = _load(args)
     params = TrainParams(loss=model.loss, c0=model.c0, kernel=model.kernel,
                          balance_classes=bool(
                              model.diagnostics.get("balanced", True)))
-    refit = train(ds.X, ds.y, params)
+    refit = train(ds.X, ds.y, params, normalize=model.normalizer is not None)
     for name, value in refit.diagnostics["kkt_report"].items():
         print(f"{name}: {value:.3e}")
     worst = refit.diagnostics["kkt_max_residual"]
@@ -361,7 +368,7 @@ def build_parser():
                        help="re-derive optimality residuals for a model")
     p.add_argument("--model", required=True)
     _add_data_flags(p)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_finite_positive, default=1e-6)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("make-data",

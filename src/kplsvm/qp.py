@@ -105,16 +105,16 @@ class QpProblem:
         base = self.y * w[0]
         return (np.multiply.outer(self.block_coeffs, base) + w[1:]).ravel()
 
-    def feasible_start(self) -> np.ndarray:
-        return np.tile(self.C / self.k, self.k)
-
 
 @dataclass
 class QpSolution:
+    """One ``solve``, built only there: the polish when it verifies, else
+    the interior point's best iterate and the status that stopped it."""
+
     z: np.ndarray
     objective: float
     kkt_residuals: dict[str, float]
-    iterations: int
+    iterations: int                 # interior-point iterations
     status: str     # optimal | stalled | max_iter | numerical_failure
     nu: np.ndarray                  # equality multipliers
     mu: np.ndarray                  # bound multipliers
@@ -190,24 +190,23 @@ def assemble_dual(
 
 def solve(problem: QpProblem, tol: float = 1e-8,
           max_iter: int = 200) -> QpSolution:
-    """Solve the QP until every ``residuals`` entry is at most ``tol``.
-
-    The polish replaces the interior-point iterate only when it verifies.
-    """
+    """Solve until every ``residuals`` entry is <= ``tol``; see QpSolution."""
     if not max_iter >= 1:
         raise TrainingError(f"max_iter must be at least 1, got {max_iter}")
-    sol = _interior_point(problem, tol=tol, max_iter=max_iter)
-    polished = _crossover(problem, sol, tol)
-    return sol if polished is None else polished
+    z, nu, mu, obj, res, its, status = _interior_point(problem, tol, max_iter)
+    polished = _crossover(problem, z, mu, tol)
+    if polished is not None:
+        (z, nu, mu, obj, res), status = polished, "optimal"
+    return QpSolution(z, obj, res, its, status, nu, mu)
 
 
 def residuals(problem: QpProblem, z: np.ndarray, nu: np.ndarray,
               mu: np.ndarray | None = None,
               slack: np.ndarray | None = None):
-    """(scaled KKT residuals, objective, r_d, r_p) of one dual point.
+    """(scaled KKT residuals, objective, r_d, r_p, mu) of one dual point.
 
-    mu defaults to the bound multipliers that (z, nu) imply, max(Qz + c -
-    A'nu, 0), and complementarity pairs z with ``slack``, by default mu.
+    mu defaults to max(Qz + c - A'nu, 0), the bound multipliers that
+    (z, nu) imply; complementarity pairs z with ``slack``, by default mu.
     stationarity_w is |Qz + c - A'nu - mu| over 1 + |c| + |Qz|;
     stationarity_b the balance row |y's| / (1 + |s|_1), s = Dz;
     stationarity_xi the simplex rows |sum_m z_mi - C_i| / (1 + C_i);
@@ -232,33 +231,33 @@ def residuals(problem: QpProblem, z: np.ndarray, nu: np.ndarray,
         "complementarity_max": float((np.abs(pairs) / scale).max()),
         "primal_feasibility_max": float(max(0.0, -z.min())),
     }
-    return res, obj, r_d, r_p
+    return res, obj, r_d, r_p, mu
 
 
-def _interior_point(problem: QpProblem, tol: float, max_iter: int) -> QpSolution:
+def _interior_point(problem: QpProblem, tol: float, max_iter: int):
+    """(z, nu, mu, objective, residuals) of the iterate with the least
+    worst residual, held by reference (a step rebinds z, nu and mu, never
+    writes them), then the iteration count and the stop status."""
     n, m = problem.n, problem.m_eq
-    z = np.maximum(problem.feasible_start(), 1e-8)
+    z = np.maximum(np.tile(problem.C / problem.k, problem.k), 1e-8)
     g0 = problem.q_mul(z) + problem.c
     mu = np.maximum(g0, 0.0) + 0.1 * (1.0 + np.abs(g0).mean())
     nu = np.zeros(m)
 
-    best: QpSolution | None = None
+    best, best_worst = None, np.inf
     status = "max_iter"
-    it = 0
     stall, anchor = 0, np.inf
     for it in range(1, max_iter + 1):
-        res, obj, r_d, r_p = residuals(problem, z, nu, mu)
+        res, obj, r_d, r_p, _ = residuals(problem, z, nu, mu)
         gap = float(z @ mu) / n
         if not all(np.isfinite(v) for v in res.values()):
             status = "numerical_failure"
             if best is None:    # no finite iterate to fall back on
-                best = QpSolution(z, obj, res, 0, status, nu, mu)
+                best = (z, nu, mu, obj, res)
             break
-        cur = QpSolution(z.copy(), obj, res, it - 1, "running",
-                         nu.copy(), mu.copy())
         worst = max(res.values())
-        if best is None or worst < max(best.kkt_residuals.values()):
-            best = cur
+        if worst < best_worst:
+            best, best_worst = (z, nu, mu, obj, res), worst
         if worst < 0.9 * anchor:
             anchor, stall = worst, 0
         else:
@@ -301,10 +300,7 @@ def _interior_point(problem: QpProblem, tol: float, max_iter: int) -> QpSolution
         nu = nu + ad * dnu
         mu = mu + ad * dmu
 
-    assert best is not None
-    best.status = status
-    best.iterations = it
-    return best
+    return (*best, it, status)
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -318,8 +314,8 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
 # active-set polish (crossover)
 
 
-def _crossover(problem: QpProblem, sol: QpSolution,
-               tol: float) -> QpSolution | None:
+def _crossover(problem: QpProblem, z0: np.ndarray, mu0: np.ndarray,
+               tol: float):
     """Polish an interior-point iterate onto an exact face.
 
     Interior-point complementarity pairs only vanish in the limit; the
@@ -328,13 +324,12 @@ def _crossover(problem: QpProblem, sol: QpSolution,
     active set suggested by the iterate and solving the reduced
     equality-constrained KKT system makes the products exactly zero up
     to linear-algebra precision.  Coordinates are swapped while sign
-    conditions fail.  Returns None unless the face meets ``tol`` on
-    ``residuals``, with slack max(Qz + c - A'nu, 0), within the budget.
+    conditions fail.  Returns the face's (z, nu, mu, objective, residuals),
+    mu as ``residuals``' default, or None unless it meets ``tol`` in budget.
     """
-    if not np.all(np.isfinite(sol.z)):
+    if not np.all(np.isfinite(z0)):
         return None
-    z0 = sol.z
-    free = z0 > np.maximum(sol.mu, 0.0)
+    free = z0 > np.maximum(mu0, 0.0)
     k, l = problem.k, problem.l
 
     def guard(free: np.ndarray, z: np.ndarray) -> None:
@@ -378,12 +373,10 @@ def _crossover(problem: QpProblem, sol: QpSolution,
         return None
 
     z = np.maximum(z, 0.0)
-    # mu = max(Qz + c - A'nu, 0) leaves only the negative part in r_d
-    mu = np.maximum(problem.q_mul(z) + problem.c - problem.at_mul(nu), 0.0)
-    res, obj, _, _ = residuals(problem, z, nu, mu)
+    res, obj, _, _, mu = residuals(problem, z, nu)
     if not all(v <= tol for v in res.values()):
         return None
-    return QpSolution(z, obj, res, sol.iterations, "optimal", nu.copy(), mu)
+    return z, nu, mu, obj, res
 
 
 def _solve_face(problem: QpProblem, idx: np.ndarray):

@@ -53,8 +53,8 @@ class TrainParams:
     canonicalize: bool = True
 
     def __post_init__(self):
-        if not self.c0 > 0:
-            raise TrainingError(f"c0 must be positive, got {self.c0}")
+        if not (np.isfinite(self.c0) and self.c0 > 0):
+            raise TrainingError(f"c0 must be finite and positive, got {self.c0}")
         if not self.qp_tol > 0:
             raise TrainingError("qp_tol must be positive")
         if not self.max_iter >= 1:

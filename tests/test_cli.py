@@ -106,6 +106,17 @@ class TestModelIO:
             with pytest.raises(DataError, match=key):
                 model_io.model_from_dict(bad)
 
+    def test_infinite_rbf_width_rejected(self, tmp_path):
+        model, _ = self.fit_small(rbf=True)
+        p = tmp_path / "m.json"
+        model_io.save_model(model, p)
+        text = p.read_text(encoding="utf-8")
+        assert '"q": 2.0' in text
+        p.write_text(text.replace('"q": 2.0', '"q": Infinity'),
+                     encoding="utf-8")
+        with pytest.raises(DataError, match="finite"):
+            model_io.load_model(p)
+
     def test_not_json_is_data_error(self, tmp_path):
         p = tmp_path / "junk.model"
         p.write_bytes(b"\x00\x01 not json")
@@ -283,6 +294,32 @@ class TestVerify:
                          "--data", str(monk3_files["train"]),
                          "--tol", "1e-300"]) == cli.EXIT_VERIFY
         capsys.readouterr()
+
+    def test_unnormalized_model_passes(self, tmp_path, capsys):
+        # haberman's raw features span far more than [-1, 1], so a refit
+        # with normalization on would not reproduce the stored scores
+        corpus = tmp_path / "corpus"
+        assert cli.main(["make-data", "--outdir", str(corpus),
+                         "--include", "haberman"]) == 0
+        data = corpus / "haberman.csv"
+        ds = load_csv(data)
+        params = TrainParams(loss=LossSpec(taus=(0.4,), epsilons=(0.5,)),
+                             c0=1.0)
+        model = train(ds.X, ds.y, params, normalize=False)
+        assert model.normalizer is None
+        model_io.save_model(model, tmp_path / "m.model")
+        assert cli.main(["verify", "--model", str(tmp_path / "m.model"),
+                         "--data", str(data)]) == 0
+        assert "verification OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tol_is_usage_error(self, tol, trained_model, monk3_files,
+                                    capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--model", str(trained_model),
+                      "--data", str(monk3_files["train"]), "--tol", tol])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "--tol" in capsys.readouterr().err
 
     def test_wrong_data_detected(self, trained_model, monk3_files, capsys):
         # verifying against the test half is not the training problem:

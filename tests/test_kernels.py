@@ -71,3 +71,9 @@ def test_rejects_bad_configs():
     with pytest.raises(DataError):
         kernels.cross_gram(
             kernels.KernelSpec(), np.ones((2, 3)), np.ones((2, 4)))
+
+
+def test_rbf_width_must_be_finite():
+    # an infinite width would make the Gram matrix all ones
+    with pytest.raises(DataError, match="finite"):
+        kernels.KernelSpec(kind="rbf", q=float("inf"))

@@ -329,6 +329,24 @@ class TestInteriorPoint:
         assert np.isfinite(ref)
         assert sol.objective <= ref + 1e-5 * (1 + abs(ref))
 
+    def test_best_iterate_is_returned(self):
+        # at tol = 1e-30 the polish never verifies, so each record is the
+        # interior point's best iterate; on this dual the raw iterates'
+        # worst residual rises at iterations 2 and 5, where returning the
+        # last iterate would make the sequence below rise too
+        problem = toy_dual(loss.LossSpec(taus=(0.4,), epsilons=(0.5,)),
+                           [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0],
+                           [1.0] * 8, seed=2)
+        worst = []
+        for max_iter in range(1, 7):
+            sol = qp.solve(problem, tol=1e-30, max_iter=max_iter)
+            assert sol.status in ("optimal", "stalled", "max_iter",
+                                  "numerical_failure")
+            assert sol.status == "max_iter"
+            assert sol.iterations == max_iter
+            worst.append(max(sol.kkt_residuals.values()))
+        assert all(b <= a for a, b in zip(worst, worst[1:])), worst
+
     def test_degenerate_gram_handled(self):
         # duplicated points make H rank deficient
         X = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])

@@ -107,6 +107,11 @@ class TestParamsValidation:
         with pytest.raises(TrainingError):
             TrainParams(loss=loss.hinge(), c0=0.0)
 
+    def test_c0_must_be_finite(self):
+        # an infinite cap would train into numerical_failure
+        with pytest.raises(TrainingError, match="finite"):
+            TrainParams(loss=loss.hinge(), c0=float("inf"))
+
     def test_threshold_range(self):
         with pytest.raises(TrainingError):
             TrainParams(loss=loss.hinge(), c0=1.0, active_threshold=1.0)
