@@ -27,7 +27,7 @@ import numpy as np
 
 from . import modelsel
 from .data import default_seed, load_dataset, split_dataset
-from .datasets import write_corpus
+from .datasets import CORPUS_TABLE, write_corpus
 from .errors import DataError, KplsvmError
 from .kernels import KERNEL_KINDS, KernelSpec, RBF_FORMS
 from .loss import LossSpec, eval_loss
@@ -251,6 +251,9 @@ def cmd_loss_curve(args):
         raise UsageError("--range must be finite and increasing and "
                          "--step finite and positive")
     n = int(np.floor(span + 1e-12)) + 1
+    if n > 10 ** 6:
+        raise UsageError(f"--range and --step give {n} points; "
+                         "at most 1000000 are allowed")
     us = lo + args.step * np.arange(n)
     vals = eval_loss(loss, us)
     lines = ["u,loss"] + [f"{float(u)!r},{float(v)!r}"
@@ -293,6 +296,9 @@ def cmd_verify(args):
 
 def cmd_make_data(args):
     include = set(args.include.split(",")) if args.include else None
+    unknown = sorted(set(include or ()) - {row.name for row in CORPUS_TABLE})
+    if unknown:
+        raise UsageError(f"--include: unknown datasets {', '.join(unknown)}")
     entries = write_corpus(args.outdir, include=include)
     print(f"wrote {len(entries)} datasets to {args.outdir}")
     print(f"manifest: {os.path.join(args.outdir, 'manifest.csv')}")
@@ -338,7 +344,7 @@ def build_parser():
     _add_data_flags(p)
     p.add_argument("--n-train", type=int, required=True,
                    help="training rows for the split")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_at_least(0), default=None,
                    help="split seed (default: KPLSVM_SEED or 0)")
     p.add_argument("--predefined-split", action="store_true",
                    help="first n-train rows form the training set")

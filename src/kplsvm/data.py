@@ -241,7 +241,9 @@ def split_dataset(dataset: Dataset, n_train: int, seed: int | None = 0,
     if predefined:
         idx = np.arange(l)
     else:
-        idx = np.random.default_rng(
-            default_seed() if seed is None else seed).permutation(l)
+        seed = default_seed() if seed is None else seed
+        if seed < 0:
+            raise DataError(f"split seed must be non-negative, got {seed}")
+        idx = np.random.default_rng(seed).permutation(l)
     return idx[:n_train], idx[n_train:]
 

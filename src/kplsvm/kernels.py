@@ -39,8 +39,10 @@ class KernelSpec:
             raise DataError(f"unknown kernel kind {self.kind!r}")
         if self.rbf_form not in RBF_FORMS:
             raise DataError(f"unknown rbf form {self.rbf_form!r}")
-        if self.kind == "rbf" and not (np.isfinite(self.q) and self.q > 0):
-            raise DataError("rbf width q must be finite and positive")
+        if not np.isfinite(self.q):
+            raise DataError("kernel width q must be finite")
+        if self.kind == "rbf" and not self.q > 0:
+            raise DataError("rbf width q must be positive")
 
 
 def _as_2d(X) -> np.ndarray:

@@ -148,9 +148,10 @@ class _Scorer:
     whose extra piece never tops the envelope vs. its 2-piece twin)
     canonicalize to the same envelope-minimal training problem, so their
     criterion values are shared — which also makes the nested-family
-    dominance of the report exact.
-    The scorer holds no lock: ``_run_cells`` never scores one key on
-    two threads at once.
+    dominance of the report exact.  The cross-validation splits are
+    fixed here, once: every problem is scored on the same folds.
+    The scorer holds no lock: ``_run_cells`` never scores one problem
+    on two threads at once.
     """
 
     def __init__(self, dataset, criterion, folds):
@@ -159,26 +160,30 @@ class _Scorer:
         self.X, self.y = dataset.X, dataset.y
         self.tr, self.te = dataset.split
         self.criterion = criterion
-        self.folds = folds
+        self.splits = []    # (fit, validation) rows of each nonempty fold
+        if criterion == "cv":
+            fold = _fold_assignment(self.y[self.tr], folds)
+            self.splits = [(self.tr[fold != f], self.tr[fold == f])
+                           for f in range(folds) if np.any(fold == f)]
         self._cache = {}
 
     def score(self, spec, c0, kspec):
         """(accuracy | None, error | None, seconds) for one config.
 
-        ``spec`` is canonical (envelope-minimal): it is both the cache
-        key and what gets trained, as ``train`` leaves it unchanged.
-        The first call of a key trains it and reports its time; a later
-        call reads the cached result and reports 0.0.
+        ``spec`` is canonical (envelope-minimal), so ``train`` leaves it
+        unchanged: ``(spec, c0, kspec)`` is both the cache key and what
+        gets trained.  The first call of a key trains it and reports its
+        time; a later call reads the cached result and reports 0.0.
         """
-        k = _key(spec, c0, kspec)
-        if k in self._cache:
-            return self._cache[k] + (0.0,)
+        key = spec, c0, kspec
+        if key in self._cache:
+            return self._cache[key] + (0.0,)
         t0 = time.perf_counter()
         try:
             acc, err = self._score_uncached(spec, c0, kspec), None
         except KplsvmError as exc:
             acc, err = None, _error_text(exc)
-        self._cache[k] = acc, err
+        self._cache[key] = acc, err
         return acc, err, time.perf_counter() - t0
 
     def _score_uncached(self, spec, c0, kspec):
@@ -187,14 +192,8 @@ class _Scorer:
             model = train(self.X[self.tr], self.y[self.tr], params)
             return evaluate(model, self.X[self.te], self.y[self.te])
         # k-fold CV on the training split, pooled over held-out folds.
-        ytr = self.y[self.tr]
-        fold = _fold_assignment(ytr, self.folds)
         correct, total = 0, 0
-        for f in range(self.folds):
-            fit_idx = self.tr[fold != f]
-            val_idx = self.tr[fold == f]
-            if len(val_idx) == 0:
-                continue
+        for fit_idx, val_idx in self.splits:
             model = train(self.X[fit_idx], self.y[fit_idx], params)
             pred = model.predict(self.X[val_idx])
             correct += int(np.sum(pred == self.y[val_idx]))
@@ -237,42 +236,39 @@ def _error_text(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def _key(spec, c0, kspec):
-    return (spec.taus, spec.epsilons, c0, kspec.kind, kspec.q,
-            kspec.rbf_form)
-
-
 def _run_cells(cells, scorer, kernel_kind, jobs=1):
     """Score (family, c0, q, taus, eps) cells; one record each, in order.
 
     Each cell's loss is canonicalized once to its envelope-minimal spec,
-    the key of its training problem; each record keeps the cell's own
-    taus and epsilons.  The first cell of a key in grid order trains it
-    and keeps its time; later ones read 0.0 s.  A cell whose loss cannot
-    be built is recorded with its error.  With the RBF kernel those first
-    cells train on ``jobs`` threads, as l x l factorizations release the
-    interpreter lock; linear trains hold it, so they run on this thread.
+    which with C0 and the kernel is its training problem; each record
+    keeps the cell's own taus and epsilons.  The distinct problems, in
+    grid order, are scored through one map: for RBF a pool of ``jobs``
+    threads, as l x l factorizations release the interpreter lock; for
+    linear, whose trains hold it, the builtin map on this thread.  The
+    first cell of a problem keeps its time; later ones read 0.0 s.  A
+    cell whose loss cannot be built is recorded with its error.
     """
-    configs, first = [], {}
-    for i, (_, c0, q, taus, eps) in enumerate(cells):
+    configs = []
+    for _, c0, q, taus, eps in cells:
         try:
             spec = canonical(LossSpec(taus=taus, epsilons=eps))
         except KplsvmError as exc:
             configs.append(_error_text(exc))
             continue
         configs.append((spec, c0, _kernel_for(kernel_kind, q)))
-        first.setdefault(_key(*configs[-1]), i)
-    pooled = {}
-    if kernel_kind == "rbf" and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pooled = dict(zip(first.values(), pool.map(
-                lambda i: scorer.score(*configs[i]), first.values())))
+    problems = list(dict.fromkeys(
+        cfg for cfg in configs if not isinstance(cfg, str)))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        mapper = pool.map if kernel_kind == "rbf" else map
+        scored = dict(zip(problems,
+                          mapper(lambda cfg: scorer.score(*cfg), problems)))
     records = []
-    for i, (cell, cfg) in enumerate(zip(cells, configs)):
+    for cell, cfg in zip(cells, configs):
         if isinstance(cfg, str):
             acc, err, dt = None, cfg, 0.0
         else:
-            acc, err, dt = pooled[i] if i in pooled else scorer.score(*cfg)
+            acc, err, dt = (scored.pop(cfg) if cfg in scored
+                            else scorer.score(*cfg))
         records.append(CellRecord(*cell, acc, dt, err))
     return records
 
@@ -437,14 +433,19 @@ def benchmark_run(manifest, outdir, grids=None, kernel_kind="linear",
 
     ``replay`` is a fixed-parameter table path; when given, the grid
     search is skipped and each listed tuple is trained directly, one
-    training per canonical key as in the search, on the calling thread.
-    ``jobs`` goes to ``staged_search``.  Missing or unreadable datasets
-    produce a warning row and the run continues.  Returns
+    training per canonical key as in the search (see ``_run_cells``).
+    ``jobs`` goes to ``staged_search``.  ``include`` limits the run to the
+    named manifest entries; a name the manifest lacks is a ``DataError``.
+    Missing or unreadable datasets produce a warning row and the run
+    continues.  Returns
     ``{"consolidated": path, "datasets": {name: path}, "warnings": [...]}``.
     With ``timing=False`` every time field is written as 0.000 so that
     repeated runs are byte-identical.
     """
     entries = load_manifest(manifest)
+    absent = sorted(set(include or ()) - {entry.name for entry in entries})
+    if absent:
+        raise DataError(f"{manifest}: no datasets named {', '.join(absent)}")
     base_dir = os.path.dirname(os.path.abspath(manifest))
     os.makedirs(outdir, exist_ok=True)
     replay_table = _load_replay_table(replay) if replay is not None else None

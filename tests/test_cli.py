@@ -117,6 +117,17 @@ class TestModelIO:
         with pytest.raises(DataError, match="finite"):
             model_io.load_model(p)
 
+    def test_infinite_linear_width_rejected(self, tmp_path):
+        model, _ = self.fit_small()
+        p = tmp_path / "m.json"
+        model_io.save_model(model, p)
+        text = p.read_text(encoding="utf-8")
+        assert '"kind": "linear"' in text and '"q": 1.0' in text
+        p.write_text(text.replace('"q": 1.0', '"q": Infinity'),
+                     encoding="utf-8")
+        with pytest.raises(DataError, match="finite"):
+            model_io.load_model(p)
+
     def test_not_json_is_data_error(self, tmp_path):
         p = tmp_path / "junk.model"
         p.write_bytes(b"\x00\x01 not json")
@@ -175,6 +186,17 @@ class TestTrainCommand:
         assert cli.main(base + ["--taus", "zero", "--epsilons", "0"]) \
             == cli.EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("q", ["inf", "nan"])
+    def test_non_finite_linear_width_is_data_error(self, q, monk3_files,
+                                                   tmp_path, capsys):
+        out = tmp_path / "m.model"
+        code = cli.main(["train", "--data", str(monk3_files["train"]),
+                         "--c0", "1", "--kernel", "linear", "--q", q,
+                         "--out", str(out)])
+        assert code == cli.EXIT_DATA
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_data_file(self, tmp_path):
         code = cli.main(["train", "--data", str(tmp_path / "none.csv"),
@@ -268,11 +290,13 @@ class TestLossCurve:
                          "--range", "3:1"]) == cli.EXIT_USAGE
         assert cli.main(["loss-curve", "--taus", "0", "--epsilons", "0",
                          "--range", "nope"]) == cli.EXIT_USAGE
-        # non-finite bounds, step or point count
+        # non-finite bounds, step or point count, and 10^12 points,
+        # refused before anything is allocated
         for flags in (["--step", "inf"], ["--step", "nan"],
                       ["--range", "0:inf"], ["--range=-inf:0"],
                       ["--range", "nan:1"],
-                      ["--range", "0:1e300", "--step", "1e-300"]):
+                      ["--range", "0:1e300", "--step", "1e-300"],
+                      ["--range", "0:1", "--step", "1e-12"]):
             assert cli.main(["loss-curve", "--taus", "0", "--epsilons", "0",
                              *flags]) == cli.EXIT_USAGE, flags
         capsys.readouterr()
@@ -365,6 +389,24 @@ class TestGridSearchCommand:
         assert capsys.readouterr().out == with_seed_7
         assert with_seed_7 != with_seed_8
 
+    def test_negative_seed_flag_is_usage_error(self, monk3_files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["grid-search", "--data",
+                      str(monk3_files["corpus"] / "monk3.csv"),
+                      "--n-train", "122", "--seed", "-1"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+
+    def test_negative_env_seed_is_data_error(self, monk3_files, capsys,
+                                             monkeypatch):
+        monkeypatch.setenv("KPLSVM_SEED", "-5")
+        code = cli.main(["grid-search", "--data",
+                         str(monk3_files["corpus"] / "monk3.csv"),
+                         "--n-train", "122", "--c0-grid", "1",
+                         "--tau-grid", "0", "--eps-grid", "0"])
+        assert code == cli.EXIT_DATA
+        assert "non-negative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [("--folds", "1"), ("--folds", "0"),
                                        ("--jobs", "0"), ("--jobs", "-3"),
                                        ("--jobs", "two")])
@@ -431,6 +473,16 @@ class TestBenchCommand:
         assert code == cli.EXIT_DATA
         assert f"{rp}:2: 2pl needs eps1" in capsys.readouterr().err
 
+    def test_unknown_include_is_data_error(self, monk3_files, tmp_path,
+                                           capsys):
+        code = cli.main(["bench", "--manifest",
+                         str(monk3_files["corpus"] / "manifest.csv"),
+                         "--outdir", str(tmp_path / "rep"),
+                         "--include", "monk3_typo"])
+        assert code == cli.EXIT_DATA
+        assert "monk3_typo" in capsys.readouterr().err
+        assert not (tmp_path / "rep" / "consolidated.csv").exists()
+
     def test_replay_preset_tables_parse(self):
         from kplsvm.modelsel import _load_replay_table
         lin = _load_replay_table("benchmarks/replay_linear.csv")
@@ -440,6 +492,17 @@ class TestBenchCommand:
         fam3 = [row for row in lin["monk1"] if row[0] == "3pl"][0]
         assert fam3[1] == 0.0625
         assert fam3[3] == (1.0, -0.6) and fam3[4] == (1.5, 1.0)
+
+
+class TestMakeDataCommand:
+    def test_unknown_include_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        code = cli.main(["make-data", "--outdir", str(out),
+                         "--include", "haberman,habermann"])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "habermann" in err and "haberman," not in err
+        assert not out.exists()
 
 
 class TestEntryPoint:

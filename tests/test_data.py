@@ -158,6 +158,15 @@ class TestSplit:
         b = data.split_dataset(ds, 150, seed=9)
         assert a[0].tolist() == b[0].tolist()
 
+    def test_negative_seed_rejected(self, monkeypatch):
+        # numpy's generator takes no negative seed; say so as a DataError
+        with pytest.raises(DataError, match="non-negative"):
+            data.split_dataset(self.make(), 150, seed=-1)
+        # a predefined split draws nothing, so the seed is never read
+        monkeypatch.setenv("KPLSVM_SEED", "-1")
+        tr, _ = data.split_dataset(self.make(10), 4, predefined=True)
+        assert tr.tolist() == [0, 1, 2, 3]
+
     def test_env_seed_malformed(self, monkeypatch):
         monkeypatch.setenv("KPLSVM_SEED", "nope")
         with pytest.raises(DataError):

@@ -77,3 +77,16 @@ def test_rbf_width_must_be_finite():
     # an infinite width would make the Gram matrix all ones
     with pytest.raises(DataError, match="finite"):
         kernels.KernelSpec(kind="rbf", q=float("inf"))
+
+
+@pytest.mark.parametrize("q", [float("inf"), float("-inf"), float("nan")])
+def test_linear_width_must_be_finite(q):
+    # a linear kernel ignores q, but a model file must stay strict JSON
+    with pytest.raises(DataError, match="finite"):
+        kernels.KernelSpec(kind="linear", q=q)
+
+
+def test_linear_width_may_be_nonpositive():
+    # files written before q was checked for a linear kernel stay loadable
+    assert kernels.KernelSpec(kind="linear", q=0.0).q == 0.0
+    assert kernels.KernelSpec(kind="linear", q=-1.0).q == -1.0

@@ -314,6 +314,22 @@ class TestStagedSearch:
         assert (three.taus, three.epsilons) == ((0.5, 0.2), (0.0, -1.0))
         assert (two.taus, two.epsilons) == ((0.5,), (0.0,))
 
+    def test_cv_folds_are_assigned_once(self, monkeypatch):
+        real = modelsel._fold_assignment
+        calls = []
+
+        def counted(y, folds):
+            calls.append(folds)
+            return real(y, folds)
+
+        monkeypatch.setattr(modelsel, "_fold_assignment", counted)
+        scorer = modelsel._Scorer(blob_dataset(), "cv", folds=3)
+        kspec = modelsel._kernel_for("linear", None)
+        for spec in (loss.hinge(), loss.pinball(0.4), loss.pinball(-0.4)):
+            acc, err, dt = scorer.score(loss.canonical(spec), 1.0, kspec)
+            assert acc is not None and err is None and dt > 0.0
+        assert calls == [3]
+
     def test_each_cell_canonicalizes_once(self, monkeypatch):
         real = loss.canonical
         calls = []
@@ -375,6 +391,24 @@ class TestBenchmarkRun:
         assert len(warn) == 1 and warn[0].startswith("ghost,")
         # the healthy datasets still produced their family rows
         assert sum(r.split(",")[1] == "3pl" for r in rows) == 2
+
+    def test_negative_manifest_seed_warns_and_continues(self, corpus,
+                                                        tmp_path):
+        man = corpus / "manifest.csv"
+        with open(man, "a", encoding="utf-8") as fh:
+            fh.write("negseed,fertility.csv,csv,50,-3\n")
+        out = benchmark_run(man, tmp_path / "rep", grids=TINY,
+                            criterion="holdout", timing=False)
+        assert [w for w in out["warnings"] if w.startswith("negseed:")] == [
+            "negseed: skipped: split seed must be non-negative, got -3"]
+        assert set(out["datasets"]) == {"monk3", "fertility"}
+
+    def test_include_names_absent_from_manifest(self, corpus, tmp_path):
+        with pytest.raises(DataError, match="haberman, monk9"):
+            benchmark_run(corpus / "manifest.csv", tmp_path / "rep",
+                          grids=TINY, criterion="holdout", timing=False,
+                          include={"monk3", "monk9", "haberman"})
+        assert not (tmp_path / "rep" / "consolidated.csv").exists()
 
     def test_empty_manifest_empty_report(self, tmp_path):
         man = tmp_path / "manifest.csv"
