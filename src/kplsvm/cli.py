@@ -318,7 +318,8 @@ def build_parser():
     p = sub.add_parser("train", help="fit a model and write a model file")
     _add_data_flags(p)
     _add_kernel_flags(p)
-    p.add_argument("--c0", type=float, required=True, help="base cost C0")
+    p.add_argument("--c0", type=_finite_positive, required=True,
+                   help="base cost C0")
     p.add_argument("--taus", default="0", help="comma-separated slopes")
     p.add_argument("--epsilons", default="0",
                    help="comma-separated intercept shifts")

@@ -3,8 +3,9 @@
 Two RBF variants are provided.  ``squared-distance`` is the standard
 Gaussian kernel exp(-||x-y||^2 / (2 q^2)) and is the default.
 ``plain-distance`` uses the unsquared Euclidean distance in the
-exponent, exp(-||x-y|| / (2 q^2)); the benchmark harness can run both
-and report which reproduces published reference accuracies better.
+exponent, exp(-||x-y|| / (2 q^2)).  ``train`` takes either (``kplsvm
+train --rbf-form``) and the model file records it; the grid search,
+replay and ``bench`` always use the default.
 """
 
 from __future__ import annotations

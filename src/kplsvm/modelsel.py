@@ -127,8 +127,8 @@ def evaluate(model, X, y) -> float:
     y = np.asarray(y, dtype=float)
     if X.shape[0] == 0:
         raise DataError("cannot evaluate on an empty test set")
-    pred = model.predict(X)
-    return round(100.0 * float(np.mean(pred == y)), 3)
+    correct = int(np.sum(model.predict(X) == y))
+    return round(100.0 * correct / len(y), 3)
 
 
 def _fold_assignment(y, folds):
@@ -141,57 +141,51 @@ def _fold_assignment(y, folds):
 
 
 class _Scorer:
-    """Criterion evaluation with a canonical-spec result cache.
+    """Accuracy of training problems on fixed splits, with a result cache.
 
-    Duplicate grid cells (pieces in a different order, duplicated
-    pieces, the tau=0 pinball cell vs. plain hinge, a 3-piece cell
-    whose extra piece never tops the envelope vs. its 2-piece twin)
-    canonicalize to the same envelope-minimal training problem, so their
-    criterion values are shared — which also makes the nested-family
-    dominance of the report exact.  The cross-validation splits are
-    fixed here, once: every problem is scored on the same folds.
-    The scorer holds no lock: ``_run_cells`` never scores one problem
-    on two threads at once.
+    The splits are fixed once: holdout is the one split (training rows,
+    test rows), cross-validation the (fit, validation) rows of each
+    nonempty stratified fold of the training rows.  Accuracy is pooled
+    over the validation rows.  Duplicate grid cells (pieces in another
+    order, duplicated pieces, the tau=0 pinball cell vs. plain hinge, a
+    3-piece cell whose extra piece never tops the envelope vs. its
+    2-piece twin) are one envelope-minimal training problem, so they
+    share one criterion value, which makes the nested-family dominance
+    of the report exact.  The scorer holds no lock: ``_run_cells`` never
+    scores one problem on two threads at once.
     """
 
     def __init__(self, dataset, criterion, folds):
         if dataset.split is None:
             raise DataError("staged_search requires a dataset with a split")
         self.X, self.y = dataset.X, dataset.y
-        self.tr, self.te = dataset.split
-        self.criterion = criterion
-        self.splits = []    # (fit, validation) rows of each nonempty fold
+        tr, te = dataset.split
+        self.splits = [(tr, te)]
         if criterion == "cv":
-            fold = _fold_assignment(self.y[self.tr], folds)
-            self.splits = [(self.tr[fold != f], self.tr[fold == f])
+            fold = _fold_assignment(self.y[tr], folds)
+            self.splits = [(tr[fold != f], tr[fold == f])
                            for f in range(folds) if np.any(fold == f)]
         self._cache = {}
 
-    def score(self, spec, c0, kspec):
-        """(accuracy | None, error | None, seconds) for one config.
+    def score(self, params):
+        """(accuracy | None, error | None, seconds) of one ``TrainParams``.
 
-        ``spec`` is canonical (envelope-minimal), so ``train`` leaves it
-        unchanged: ``(spec, c0, kspec)`` is both the cache key and what
-        gets trained.  The first call of a key trains it and reports its
-        time; a later call reads the cached result and reports 0.0.
+        ``params`` is both the cache key and what gets trained; its loss
+        is canonical (envelope-minimal), so ``train`` leaves it unchanged.
+        The first call of a problem trains it and reports its time; a
+        later call reads the cached result and reports 0.0.
         """
-        key = spec, c0, kspec
-        if key in self._cache:
-            return self._cache[key] + (0.0,)
+        if params in self._cache:
+            return self._cache[params] + (0.0,)
         t0 = time.perf_counter()
         try:
-            acc, err = self._score_uncached(spec, c0, kspec), None
+            acc, err = self._score_uncached(params), None
         except KplsvmError as exc:
             acc, err = None, _error_text(exc)
-        self._cache[key] = acc, err
+        self._cache[params] = acc, err
         return acc, err, time.perf_counter() - t0
 
-    def _score_uncached(self, spec, c0, kspec):
-        params = TrainParams(loss=spec, c0=c0, kernel=kspec)
-        if self.criterion == "holdout":
-            model = train(self.X[self.tr], self.y[self.tr], params)
-            return evaluate(model, self.X[self.te], self.y[self.te])
-        # k-fold CV on the training split, pooled over held-out folds.
+    def _score_uncached(self, params):
         correct, total = 0, 0
         for fit_idx, val_idx in self.splits:
             model = train(self.X[fit_idx], self.y[fit_idx], params)
@@ -199,7 +193,7 @@ class _Scorer:
             correct += int(np.sum(pred == self.y[val_idx]))
             total += len(val_idx)
         if total == 0:
-            raise DataError("no validation samples in any fold")
+            raise DataError("no validation samples in any split")
         return round(100.0 * correct / total, 3)
 
 
@@ -239,36 +233,39 @@ def _error_text(exc):
 def _run_cells(cells, scorer, kernel_kind, jobs=1):
     """Score (family, c0, q, taus, eps) cells; one record each, in order.
 
-    Each cell's loss is canonicalized once to its envelope-minimal spec,
-    which with C0 and the kernel is its training problem; each record
-    keeps the cell's own taus and epsilons.  The distinct problems, in
-    grid order, are scored through one map: for RBF a pool of ``jobs``
-    threads, as l x l factorizations release the interpreter lock; for
-    linear, whose trains hold it, the builtin map on this thread.  The
-    first cell of a problem keeps its time; later ones read 0.0 s.  A
-    cell whose loss cannot be built is recorded with its error.
+    Each cell is one frozen ``TrainParams``: its loss canonicalized once
+    to the envelope-minimal spec, its C0 and its kernel.  That record is
+    the dedupe key, the scorer's cache key and what ``train`` receives;
+    each ``CellRecord`` keeps the cell's own taus and epsilons.  The
+    distinct problems, in grid order, are scored through one map: for
+    RBF a pool of ``jobs`` threads, as l x l factorizations release the
+    interpreter lock; for linear, whose trains hold it, the builtin map
+    on this thread.  The first cell of a problem keeps its time; later
+    ones read 0.0 s.  A cell whose problem cannot be built (its loss,
+    C0 or RBF width) is recorded with its error.
     """
-    configs = []
+    if jobs < 1:
+        raise DataError(f"jobs must be >= 1, got {jobs}")
+    problems = []
     for _, c0, q, taus, eps in cells:
         try:
-            spec = canonical(LossSpec(taus=taus, epsilons=eps))
+            problems.append(TrainParams(
+                loss=canonical(LossSpec(taus=taus, epsilons=eps)), c0=c0,
+                kernel=_kernel_for(kernel_kind, q)))
         except KplsvmError as exc:
-            configs.append(_error_text(exc))
-            continue
-        configs.append((spec, c0, _kernel_for(kernel_kind, q)))
-    problems = list(dict.fromkeys(
-        cfg for cfg in configs if not isinstance(cfg, str)))
+            problems.append(_error_text(exc))
+    distinct = list(dict.fromkeys(
+        p for p in problems if not isinstance(p, str)))
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         mapper = pool.map if kernel_kind == "rbf" else map
-        scored = dict(zip(problems,
-                          mapper(lambda cfg: scorer.score(*cfg), problems)))
+        scored = dict(zip(distinct, mapper(scorer.score, distinct)))
     records = []
-    for cell, cfg in zip(cells, configs):
-        if isinstance(cfg, str):
-            acc, err, dt = None, cfg, 0.0
+    for cell, params in zip(cells, problems):
+        if isinstance(params, str):
+            acc, err, dt = None, params, 0.0
         else:
-            acc, err, dt = (scored.pop(cfg) if cfg in scored
-                            else scorer.score(*cfg))
+            acc, err, dt = (scored.pop(params) if params in scored
+                            else scorer.score(params))
         records.append(CellRecord(*cell, acc, dt, err))
     return records
 
@@ -290,11 +287,12 @@ def staged_search(dataset, kernel_kind="linear", grids=None,
 
     ``criterion`` is "holdout" (held-out test accuracy, the
     published tuning protocol) or "cv" (stratified ``folds``-fold
-    cross-validation on the training split).  Cells that fail to train
+    cross-validation on the training split); both score each distinct
+    training problem once (see ``_Scorer``).  Cells that fail to train
     are recorded with their error and skipped by the arg-max.
 
-    RBF cells train on ``jobs`` threads, linear cells on the calling
-    thread at every ``jobs`` (see ``_run_cells``).
+    RBF cells train on ``jobs`` >= 1 threads, linear cells on the
+    calling thread at every ``jobs`` (see ``_run_cells``).
     """
     if kernel_kind not in ("linear", "rbf"):
         raise DataError(f"kernel_kind must be linear or rbf, got {kernel_kind!r}")
@@ -412,13 +410,13 @@ def _load_replay_table(path):
     return table
 
 
-def _replay_dataset(dataset, rows, kernel_kind):
+def _replay_dataset(dataset, rows, kernel_kind, jobs=1):
     """Score fixed tuples on the held-out split, in replay report shape.
 
     Each family's best is its last row in the table.
     """
     scorer = _Scorer(dataset, "holdout", folds=None)
-    records = _run_cells(rows, scorer, kernel_kind)
+    records = _run_cells(rows, scorer, kernel_kind, jobs)
     best = {rec.family: rec for rec in records}
     best[EXTERNAL_SLOT] = None
     return GridSearchReport(dataset=dataset.name, kernel_kind=kernel_kind,
@@ -434,10 +432,10 @@ def benchmark_run(manifest, outdir, grids=None, kernel_kind="linear",
     ``replay`` is a fixed-parameter table path; when given, the grid
     search is skipped and each listed tuple is trained directly, one
     training per canonical key as in the search (see ``_run_cells``).
-    ``jobs`` goes to ``staged_search``.  ``include`` limits the run to the
-    named manifest entries; a name the manifest lacks is a ``DataError``.
-    Missing or unreadable datasets produce a warning row and the run
-    continues.  Returns
+    ``jobs`` is the RBF thread count of a search or a replay.
+    ``include`` limits the run to the named manifest entries; a name the
+    manifest lacks is a ``DataError``.  Missing or unreadable datasets
+    produce a warning row and the run continues.  Returns
     ``{"consolidated": path, "datasets": {name: path}, "warnings": [...]}``.
     With ``timing=False`` every time field is written as 0.000 so that
     repeated runs are byte-identical.
@@ -468,7 +466,7 @@ def benchmark_run(manifest, outdir, grids=None, kernel_kind="linear",
                 warnings.append(f"{entry.name}: {msg}")
                 rows.append(_report_row(entry.name, "warning", msg))
                 continue
-            report = _replay_dataset(ds, fixed, kernel_kind)
+            report = _replay_dataset(ds, fixed, kernel_kind, jobs)
         else:
             report = staged_search(ds, kernel_kind=kernel_kind, grids=grids,
                                    criterion=criterion, folds=folds, jobs=jobs)

@@ -191,6 +191,8 @@ def assemble_dual(
 def solve(problem: QpProblem, tol: float = 1e-8,
           max_iter: int = 200) -> QpSolution:
     """Solve until every ``residuals`` entry is <= ``tol``; see QpSolution."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise TrainingError(f"tol must be finite and positive, got {tol}")
     if not max_iter >= 1:
         raise TrainingError(f"max_iter must be at least 1, got {max_iter}")
     z, nu, mu, obj, res, its, status = _interior_point(problem, tol, max_iter)

@@ -55,8 +55,9 @@ class TrainParams:
     def __post_init__(self):
         if not (np.isfinite(self.c0) and self.c0 > 0):
             raise TrainingError(f"c0 must be finite and positive, got {self.c0}")
-        if not self.qp_tol > 0:
-            raise TrainingError("qp_tol must be positive")
+        if not (np.isfinite(self.qp_tol) and self.qp_tol > 0):
+            raise TrainingError(
+                f"qp_tol must be finite and positive, got {self.qp_tol}")
         if not self.max_iter >= 1:
             raise TrainingError(
                 f"max_iter must be at least 1, got {self.max_iter}")

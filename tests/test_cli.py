@@ -198,6 +198,16 @@ class TestTrainCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("c0", ["-1", "0", "nan", "inf"])
+    def test_bad_c0_is_usage_error(self, c0, monk3_files, tmp_path, capsys):
+        out = tmp_path / "m.model"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--data", str(monk3_files["train"]),
+                      f"--c0={c0}", "--out", str(out)])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "--c0: must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_file(self, tmp_path):
         code = cli.main(["train", "--data", str(tmp_path / "none.csv"),
                          "--c0", "1", "--out", str(tmp_path / "m.model")])
@@ -472,6 +482,26 @@ class TestBenchCommand:
                          "--replay", str(rp)])
         assert code == cli.EXIT_DATA
         assert f"{rp}:2: 2pl needs eps1" in capsys.readouterr().err
+
+    def test_rbf_replay_bad_width_is_recorded(self, monk3_files, tmp_path,
+                                              capsys):
+        # as a bad C0 is: that row fails and the run goes on
+        rp = tmp_path / "replay.csv"
+        rp.write_text("dataset,family,c0,q,tau1,tau2,eps1,eps2\n"
+                      "monk3,hinge,1,2,,,,\n"
+                      "monk3,pinball,1,-1,0.4,,,\n", encoding="utf-8")
+        outdir = tmp_path / "rep"
+        code = cli.main(["bench", "--manifest",
+                         str(monk3_files["corpus"] / "manifest.csv"),
+                         "--outdir", str(outdir), "--include", "monk3",
+                         "--replay", str(rp), "--kernel", "rbf",
+                         "--no-timing"])
+        assert code == 0
+        capsys.readouterr()
+        rows = {r.split(",")[1]: r.split(",") for r in
+                (outdir / "consolidated.csv")
+                .read_text(encoding="utf-8").splitlines()[1:]}
+        assert rows["hinge"][2] != "" and rows["pinball"][2] == ""
 
     def test_unknown_include_is_data_error(self, monk3_files, tmp_path,
                                            capsys):

@@ -13,6 +13,7 @@ from kplsvm.data import Dataset
 from kplsvm.errors import DataError, TrainingError
 from kplsvm.modelsel import (CellRecord, GridSpec, REPORT_COLUMNS, evaluate,
                              staged_search, benchmark_run)
+from kplsvm.trainer import TrainParams
 
 
 def blob_dataset(seed=0, n_per=12, gap=2.0, n_test=20):
@@ -104,6 +105,19 @@ class TestEvaluate:
     def test_empty_test_set(self):
         with pytest.raises(DataError):
             evaluate(self._Const(1.0), np.zeros((0, 2)), np.zeros(0))
+
+    def test_holdout_score_is_evaluate(self, monkeypatch):
+        # 100 * 23 / 320 is 7.1875 exactly; 100 * (23 / 320) is not
+        monkeypatch.setattr(modelsel, "train",
+                            lambda X, y, params: self._Const(1.0))
+        y = np.concatenate([np.ones(2), -np.ones(2),
+                            np.ones(23), -np.ones(320 - 23)])
+        ds = Dataset(np.zeros((len(y), 1)), y, name="tie",
+                     split=(np.arange(4), np.arange(4, len(y))))
+        scorer = modelsel._Scorer(ds, "holdout", folds=5)
+        acc, err, _ = scorer.score(TrainParams(loss=loss.hinge(), c0=1.0))
+        assert err is None and acc == 7.188
+        assert evaluate(self._Const(1.0), ds.X[4:], y[4:]) == 7.188
 
 
 class TestFoldAssignment:
@@ -254,6 +268,9 @@ class TestStagedSearch:
             staged_search(ds, "linear", TINY, criterion="bootstrap")
         with pytest.raises(DataError):
             staged_search(ds, "linear", TINY, folds=1)
+        for kernel_kind in ("linear", "rbf"):
+            with pytest.raises(DataError, match="jobs"):
+                staged_search(ds, kernel_kind, TINY, jobs=0)
         with pytest.raises(DataError):
             staged_search(Dataset(ds.X, ds.y), "linear", TINY)
 
@@ -324,9 +341,9 @@ class TestStagedSearch:
 
         monkeypatch.setattr(modelsel, "_fold_assignment", counted)
         scorer = modelsel._Scorer(blob_dataset(), "cv", folds=3)
-        kspec = modelsel._kernel_for("linear", None)
         for spec in (loss.hinge(), loss.pinball(0.4), loss.pinball(-0.4)):
-            acc, err, dt = scorer.score(loss.canonical(spec), 1.0, kspec)
+            params = TrainParams(loss=loss.canonical(spec), c0=1.0)
+            acc, err, dt = scorer.score(params)
             assert acc is not None and err is None and dt > 0.0
         assert calls == [3]
 
@@ -496,6 +513,23 @@ class TestBenchmarkRun:
             assert rec.error is None and rec.accuracy is not None
         # each family's best is its last row, failed or not
         assert rep.best["pinball"] is pinball and rep.best["3pl"] is three
+
+    def test_rbf_replay_trains_on_jobs_threads(self, corpus, tmp_path,
+                                               monkeypatch):
+        real = modelsel.ThreadPoolExecutor
+        workers = []
+
+        def recorded(max_workers):
+            workers.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(modelsel, "ThreadPoolExecutor", recorded)
+        rp = tmp_path / "replay.csv"
+        rp.write_text("dataset,family,c0,q,tau1,tau2,eps1,eps2\n"
+                      "monk3,hinge,1,2,,,,\n", encoding="utf-8")
+        benchmark_run(corpus / "manifest.csv", tmp_path / "rep",
+                      kernel_kind="rbf", replay=rp, jobs=2, timing=False)
+        assert workers == [2]
 
     def test_replay_trains_each_canonical_key_once(self, monkeypatch):
         real = modelsel.train

@@ -117,8 +117,9 @@ class TestParamsValidation:
             TrainParams(loss=loss.hinge(), c0=1.0, active_threshold=1.0)
 
     def test_qp_tol_positive(self):
-        with pytest.raises(TrainingError):
-            TrainParams(loss=loss.hinge(), c0=1.0, qp_tol=0.0)
+        for bad in (0.0, float("inf")):
+            with pytest.raises(TrainingError):
+                TrainParams(loss=loss.hinge(), c0=1.0, qp_tol=bad)
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_max_iter_at_least_one(self, bad):
