@@ -9,6 +9,7 @@ coefficient bit-for-bit and therefore every prediction.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -57,14 +58,41 @@ def _field(name):
     """Report a value of the wrong type inside the block as a bad ``name``."""
     try:
         yield
-    except (TypeError, ValueError, RepresentationError) as exc:
+    except (TypeError, ValueError, OverflowError,
+            RepresentationError) as exc:
         raise DataError(f"model file: bad {name}") from exc
+
+
+def _is_number_type(t: type) -> bool:
+    """Whether values of type ``t`` are JSON numbers: int or float, never
+    bool, which Python makes an int but JSON does not."""
+    return issubclass(t, (int, float)) and t is not bool
+
+
+def _number(value, name: str) -> float:
+    """The JSON number ``value`` as a float; anything else is a bad ``name``."""
+    _require(_is_number_type(type(value)), f"bad {name}")
+    with _field(name):      # an int too large for a float
+        return float(value)
+
+
+def _number_array(value, name: str, ndim: int = 1) -> np.ndarray:
+    """A JSON array of numbers (``ndim`` 2: an array of such arrays) as a
+    float array; strings, booleans and nulls in it are a bad ``name``."""
+    rows = [value] if ndim == 1 else value
+    _require(isinstance(rows, list)
+             and all(isinstance(row, list) for row in rows)
+             and all(map(_is_number_type,
+                         set(map(type, itertools.chain.from_iterable(rows))))),
+             f"bad {name}")
+    with _field(name):
+        return np.asarray(value, dtype=float)
 
 
 def model_from_dict(doc: dict) -> TrainedModel:
     _require(isinstance(doc, dict), "top level must be an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if not _is_number_type(type(version)) or version != FORMAT_VERSION:
         raise DataError(
             f"unsupported model format_version {version!r} "
             f"(this build reads version {FORMAT_VERSION})")
@@ -73,24 +101,22 @@ def model_from_dict(doc: dict) -> TrainedModel:
     kern = doc["kernel"]
     _require(isinstance(kern, dict) and "kind" in kern, "bad kernel block")
     with _field("kernel"):
-        kernel = KernelSpec(kind=kern["kind"], q=float(kern.get("q", 1.0)),
+        kernel = KernelSpec(kind=kern["kind"],
+                            q=_number(kern.get("q", 1.0), "kernel"),
                             rbf_form=kern.get("rbf_form", "squared-distance"))
     loss_doc = doc["loss"]
     _require(isinstance(loss_doc, dict), "bad loss block")
     with _field("loss"):
         loss = LossSpec(
-            taus=tuple(float(t) for t in loss_doc.get("taus", ())),
-            epsilons=tuple(float(e) for e in loss_doc.get("epsilons", ())))
-    with _field("c0"):
-        c0 = float(doc["c0"])
+            taus=tuple(_number_array(loss_doc.get("taus", []), "loss")),
+            epsilons=tuple(_number_array(loss_doc.get("epsilons", []),
+                                         "loss")))
+    c0 = _number(doc["c0"], "c0")
     _require(math.isfinite(c0) and c0 > 0, "c0 must be finite and positive")
-    with _field("bias"):
-        bias = float(doc["bias"])
+    bias = _number(doc["bias"], "bias")
     _require(math.isfinite(bias), "bias must be finite")
-    with _field("support_x"):
-        support = np.asarray(doc["support_x"], dtype=float)
-    with _field("beta"):
-        beta = np.asarray(doc["beta"], dtype=float)
+    support = _number_array(doc["support_x"], "support_x", ndim=2)
+    beta = _number_array(doc["beta"], "beta")
     _require(support.ndim == 2, "support_x must be a 2-D array")
     _require(beta.ndim == 1 and beta.size == support.shape[0],
              "beta length must match the number of support points")
@@ -101,9 +127,8 @@ def model_from_dict(doc: dict) -> TrainedModel:
         nd = doc["normalizer"]
         _require(isinstance(nd, dict) and "mins" in nd and "maxs" in nd,
                  "bad normalizer block")
-        with _field("normalizer"):
-            mins = np.asarray(nd["mins"], dtype=float)
-            maxs = np.asarray(nd["maxs"], dtype=float)
+        mins = _number_array(nd["mins"], "normalizer")
+        maxs = _number_array(nd["maxs"], "normalizer")
         _require(mins.shape == maxs.shape == (support.shape[1],),
                  "normalizer bounds must match the feature count")
         norm = NormalizationTransform(mins=mins, maxs=maxs)

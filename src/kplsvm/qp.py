@@ -26,6 +26,11 @@ An active-set crossover then polishes the last iterate onto an exact
 face.  It solves each face in the null space of its simplex rows,
 through a Cholesky factorization too.
 
+At small r (a linear kernel has r = n features) an iteration costs
+its numpy and LAPACK calls, not its flops.  So both factorizations call
+LAPACK's dpotrf/dpotrs directly, not through scipy's checking wrappers,
+and the Newton loop avoids numpy's module-level wrappers.
+
 Optimality has one definition, ``residuals``, the five scaled KKT
 residuals a model reports: the interior point stops on them, and the
 polish is kept only when it meets ``tol`` on them too.
@@ -33,6 +38,7 @@ polish is kept only when it meets ``tol`` on them too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +59,11 @@ __all__ = [
 
 # Relative slack allowed on the balance row's attainable-interval test.
 _FEAS_TOL = 1e-9
+
+# fetched through scipy.linalg: importing scipy.linalg.lapack ahead of the
+# rest of scipy.linalg cost a fresh process about 0.05 s more system time
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
+                                               dtype=np.float64)
 
 
 @dataclass
@@ -92,14 +103,17 @@ class QpProblem:
         """H @ s = W (W' s)."""
         return self.W @ (self.W.T @ s)
 
-    def q_mul(self, z: np.ndarray) -> np.ndarray:
-        """Q @ z without materializing Q."""
-        Hs = self.h_mul(self.combined(z))
+    def q_mul(self, z: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+        """Q @ z without materializing Q; s is Dz if the caller has it."""
+        Hs = self.h_mul(self.combined(z) if s is None else s)
         return np.multiply.outer(self.block_coeffs, Hs).ravel() + self.reg * z
 
-    def a_mul(self, z: np.ndarray) -> np.ndarray:
-        Z = z.reshape(self.k, self.l)
-        return np.concatenate(([self.y @ self.combined(z)], Z.sum(axis=0)))
+    def a_mul(self, z: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+        """A @ z; s is Dz if the caller has it."""
+        out = np.empty(self.m_eq)
+        out[0] = self.y @ (self.combined(z) if s is None else s)
+        z.reshape(self.k, self.l).sum(axis=0, out=out[1:])
+        return out
 
     def at_mul(self, w: np.ndarray) -> np.ndarray:
         base = self.y * w[0]
@@ -215,12 +229,13 @@ def residuals(problem: QpProblem, z: np.ndarray, nu: np.ndarray,
     complementarity_max |z_mi slack_mi| / (1 + C_i); and
     primal_feasibility_max max(0, -min z).
     """
-    qz = problem.q_mul(z)
+    s = problem.combined(z)
+    qz = problem.q_mul(z, s)
     r_d = qz + problem.c - problem.at_mul(nu)
     if mu is None:
         mu = np.maximum(r_d, 0.0)
     r_d -= mu
-    r_p = problem.a_mul(z) - problem.b
+    r_p = problem.a_mul(z, s) - problem.b
     obj = float(0.5 * z @ qz + problem.c @ z)
     pairs = (z * (mu if slack is None else slack)).reshape(problem.k, -1)
     scale = 1.0 + problem.C
@@ -228,7 +243,7 @@ def residuals(problem: QpProblem, z: np.ndarray, nu: np.ndarray,
         "stationarity_w": float(np.abs(r_d).max() / (
             1.0 + np.abs(problem.c).max() + np.abs(qz).max())),
         "stationarity_b": float(
-            abs(r_p[0]) / (1.0 + np.abs(problem.combined(z)).sum())),
+            abs(r_p[0]) / (1.0 + np.abs(s).sum())),
         "stationarity_xi": float((np.abs(r_p[1:]) / scale).max()),
         "complementarity_max": float((np.abs(pairs) / scale).max()),
         "primal_feasibility_max": float(max(0.0, -z.min())),
@@ -252,7 +267,7 @@ def _interior_point(problem: QpProblem, tol: float, max_iter: int):
     for it in range(1, max_iter + 1):
         res, obj, r_d, r_p, _ = residuals(problem, z, nu, mu)
         gap = float(z @ mu) / n
-        if not all(np.isfinite(v) for v in res.values()):
+        if not all(map(math.isfinite, res.values())):
             status = "numerical_failure"
             if best is None:    # no finite iterate to fall back on
                 best = (z, nu, mu, obj, res)
@@ -288,7 +303,7 @@ def _interior_point(problem: QpProblem, tol: float, max_iter: int):
             comp = (dz_a * dmu_a - sigma * gap) / z
             dz, dnu = factor(-r_d - mu - comp, -r_p)
             dmu = -mu - comp - d * dz
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
 
@@ -307,9 +322,9 @@ def _interior_point(problem: QpProblem, tol: float, max_iter: int):
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0
-    if not np.any(neg):
+    if not neg.any():
         return 1.0
-    return float(min(1.0, np.min(-v[neg] / dv[neg])))
+    return float(min(1.0, (-v[neg] / dv[neg]).min()))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +373,7 @@ def _crossover(problem: QpProblem, z0: np.ndarray, mu0: np.ndarray,
         seen.add(key)
         try:
             z, nu = _solve_face(problem, idx)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+        except (np.linalg.LinAlgError, ValueError):
             return None
         if np.abs(z).max() > z_cap or not np.all(np.isfinite(nu)):
             return None
@@ -395,20 +410,31 @@ def _solve_face(problem: QpProblem, idx: np.ndarray):
     stationarity.  With no border nu_0 is free: nu is the least-norm one.
     """
     l, y, coeffs = problem.l, problem.y, problem.block_coeffs
-    piv = idx[np.unique(idx % l, return_index=True)[1]]  # sample i's pivot
-    rest = np.setdiff1d(idx, piv, assume_unique=True)
+    free = np.zeros(problem.n, dtype=bool)
+    free[idx] = True
+    face = free.reshape(problem.k, l)
+    if not face.any(axis=0).all():
+        raise ValueError("a simplex row has no free coordinate")
+    piv = face.argmax(axis=0) * l + np.arange(l)  # sample i's pivot
+    free[piv] = False
+    rest = np.flatnonzero(free)
     rs = rest % l
     a = coeffs[piv // l] * y            # the pivots' balance coefficients
     delta = coeffs[rest // l] - coeffs[piv[rs] // l]
     border = delta * y[rs]
     M = (problem.W[rs] * delta[:, None]).T
     R = M.T @ M + problem.reg * (np.eye(rs.size) + (rs[:, None] == rs))
-    R_chol = scipy.linalg.cho_factor(R, lower=True, check_finite=False)
-    Rb = scipy.linalg.cho_solve(R_chol, border, check_finite=False)
+    L = _cholesky(R)        # a copy: the refinement below reads R
+
+    def R_solve(v):
+        # dpotrs rejects the empty system of a face with p = 0
+        return _potrs(L, v, lower=1)[0] if v.size else v
+
+    Rb = R_solve(border)
     schur = border @ Rb
 
     def bordered_solve(g, h):
-        Rg = scipy.linalg.cho_solve(R_chol, g, check_finite=False)
+        Rg = R_solve(g)
         nu0 = (h - border @ Rg) / schur if schur > 0 else 0.0
         return Rg + Rb * nu0, nu0
 
@@ -468,30 +494,43 @@ def _factorize(problem: QpProblem, d: np.ndarray):
     # the shift keeps T regular when every piece has the same slope
     sigma = gamma.sum() + 1e-12 * (1.0 + g.sum())
     gy, yt = g * y, y * t
+    ytr = yt / r
 
     def T_solve(h):
-        nu0 = (h[0] - (yt / r) @ h[1:]) / sigma
-        return np.concatenate(([nu0], (h[1:] - yt * nu0) / r))
+        e = np.empty(h.size)
+        e[0] = nu0 = (h[0] - ytr @ h[1:]) / sigma
+        np.divide(h[1:] - yt * nu0, r, out=e[1:])
+        return e
 
     p = W.T @ (y * gamma)
     Wg = W * np.sqrt(gamma)[:, None]
     K = Wg.T @ Wg
-    K -= np.outer(p, p / sigma)
-    K[np.diag_indices_from(K)] += 1.0
-    K_chol = scipy.linalg.cho_factor(K, lower=True, overwrite_a=True,
-                                     check_finite=False)
+    K -= np.multiply.outer(p, p / sigma)
+    K.flat[::K.shape[0] + 1] += 1.0
+    L = _cholesky(K)
 
     def solve_kkt(r1: np.ndarray, r2: np.ndarray):
         u = pinv * r1
-        h2 = r2 - problem.a_mul(u)
+        su = problem.combined(u)
+        h2 = r2 - problem.a_mul(u, su)
         e = T_solve(h2)
-        v = scipy.linalg.cho_solve(
-            K_chol, W.T @ (problem.combined(u) + gy * e[0] + t * e[1:]),
-            check_finite=False)
+        v = _potrs(L, W.T @ (su + gy * e[0] + t * e[1:]), lower=1)[0]
         Wv = W @ v
-        dnu = T_solve(h2 + np.concatenate(([gy @ Wv], t * Wv)))
+        h2[0] += gy @ Wv
+        h2[1:] += t * Wv
+        dnu = T_solve(h2)
         dz = pinv * (r1 + problem.at_mul(dnu)
                      - np.multiply.outer(coeffs, Wv).ravel())
         return dz, dnu
 
     return solve_kkt
+
+
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the SPD A (dpotrf, into a copy; the upper
+    triangle keeps A's, which dpotrs never reads).  LinAlgError unless
+    dpotrf's info is 0: A not positive definite, or an illegal argument."""
+    L, info = _potrf(A, lower=1, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotrf failed with info = {info}")
+    return L

@@ -94,10 +94,12 @@ class TestModelIO:
         for key, value in (
                 ("bias", "x"), ("bias", float("nan")),
                 ("c0", None), ("c0", 0.0), ("c0", float("inf")),
+                ("c0", 10 ** 400),      # a JSON integer too large for a float
                 ("loss", {"taus": 5}),
                 ("loss", {"taus": [0.5], "epsilons": []}),
                 ("support_x", [[0.0, 1.0, 2.0], [0.0]]),
                 ("beta", ["a"] * len(good["beta"])),
+                ("beta", [10 ** 400] * len(good["beta"])),
                 ("kernel", {**good["kernel"], "q": "wide"}),
                 ("normalizer", {**good["normalizer"], "maxs": "a"}),
                 ("diagnostics", [1])):
@@ -275,6 +277,34 @@ class TestPredictEval:
         assert cli.main(["predict", "--model", str(bad),
                          "--data", str(monk3_files["test"])]) == cli.EXIT_DATA
         assert "bias" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, key, retype", [
+        ("format_version", None, lambda v: True),
+        ("c0", None, lambda v: True),
+        ("bias", None, str),
+        ("kernel", "q", str),
+        ("loss", "taus", lambda v: [str(t) for t in v]),
+        ("loss", "epsilons", lambda v: [True] * len(v)),
+        ("support_x", None, lambda v: [[str(a) for a in row] for row in v]),
+        ("beta", None, lambda v: [str(b) for b in v]),
+        ("normalizer", "maxs", lambda v: [str(a) for a in v]),
+    ], ids=["format_version", "c0", "bias", "kernel.q", "loss.taus",
+            "loss.epsilons", "support_x", "beta", "normalizer.maxs"])
+    def test_numbers_must_be_json_numbers(self, field, key, retype,
+                                          trained_model, monk3_files,
+                                          tmp_path, capsys):
+        # a numeric string or a boolean is no JSON number, though float()
+        # would take either
+        doc = json.loads(trained_model.read_text(encoding="utf-8"))
+        if key is None:
+            doc[field] = retype(doc[field])
+        else:
+            doc[field][key] = retype(doc[field][key])
+        bad = tmp_path / "bad.model"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["predict", "--model", str(bad),
+                         "--data", str(monk3_files["test"])]) == cli.EXIT_DATA
+        assert field in capsys.readouterr().err
 
 
 class TestLossCurve:

@@ -155,6 +155,23 @@ class TestNewtonFactor:
             assert (res / scale).max() <= 1e-9
 
 
+class TestCholesky:
+    def test_indefinite_matrix_raises(self):
+        # dpotrf returns a partial factor with info > 0 here
+        with pytest.raises(np.linalg.LinAlgError):
+            qp._cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_failed_factorization_is_a_numerical_failure(self, monkeypatch):
+        def indefinite(A):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(qp, "_cholesky", indefinite)
+        problem = toy_dual(loss.hinge(), [1.0, 1.0, -1.0, -1.0], [1.0] * 4)
+        sol = qp.solve(problem)
+        assert sol.status == "numerical_failure"
+        assert sol.iterations == 1
+
+
 class TestFaceSolve:
     """The crossover's face solve against the dense face KKT system."""
 
