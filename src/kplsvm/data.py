@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -98,6 +99,17 @@ def _parse_label(tok: str):
         return tok
 
 
+@contextlib.contextmanager
+def open_text(path):
+    """The UTF-8 text file ``path`` opened for reading; bytes that do not
+    decode raise DataError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_csv(path, label_col: int = 0, name: str | None = None) -> Dataset:
     """Load a delimited text file.
 
@@ -105,7 +117,7 @@ def load_csv(path, label_col: int = 0, name: str | None = None) -> Dataset:
     is non-numeric.  Malformed rows raise DataError with the offending
     line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = [ln.strip() for ln in fh]
     lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
     if not lines:
@@ -152,7 +164,7 @@ def load_libsvm(path, name: str | None = None) -> Dataset:
     """Load sparse index:value rows; indices are 1-based, output dense."""
     labels, entries = [], []
     max_idx = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, ln in enumerate(fh, 1):
             ln = ln.split("#", 1)[0].strip()
             if not ln:

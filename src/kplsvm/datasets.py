@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, load_dataset, split_dataset
+from .data import Dataset, load_dataset, open_text, split_dataset
 from .errors import DataError
 
 __all__ = [
@@ -212,7 +212,7 @@ def _fmt(v: float):
 def load_manifest(path) -> list[ManifestEntry]:
     """Parse a benchmark manifest (name,path,format,n_train,seed)."""
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         rows = [r for r in reader if r and any(f.strip() for f in r)]
     # An empty (or header-only) manifest is a valid zero-dataset corpus.

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .data import NormalizationTransform
+from .data import NormalizationTransform, open_text
 from .errors import DataError, RepresentationError
 from .kernels import KernelSpec
 from .loss import LossSpec
@@ -153,7 +153,7 @@ def save_model(model: TrainedModel, path) -> str:
 
 def load_model(path) -> TrainedModel:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not a valid model file: {exc}") from exc

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, open_text
 from .datasets import load_manifest, resolve_split
 from .errors import DataError, KplsvmError
 from .kernels import KernelSpec
@@ -127,7 +127,10 @@ def evaluate(model, X, y) -> float:
     y = np.asarray(y, dtype=float)
     if X.shape[0] == 0:
         raise DataError("cannot evaluate on an empty test set")
-    correct = int(np.sum(model.predict(X) == y))
+    pred = model.predict(X)
+    if pred.shape != y.shape:
+        raise DataError(f"{y.size} labels for {pred.size} test rows")
+    correct = int(np.sum(pred == y))
     return round(100.0 * correct / len(y), 3)
 
 
@@ -385,7 +388,7 @@ def _consolidated_rows(report, timing):
 def _load_replay_table(path):
     """Replay rows: dataset -> [(family, c0, q, taus, eps)] in file order."""
     table = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         # a row with fewer fields than the header reads the rest as blank
         reader = csv.DictReader(fh, restval="")
         need = {"dataset", "family", "c0", "q", *_SLOTS}

@@ -27,9 +27,9 @@ face.  It solves each face in the null space of its simplex rows,
 through a Cholesky factorization too.
 
 At small r (a linear kernel has r = n features) an iteration costs
-its numpy and LAPACK calls, not its flops.  So both factorizations call
-LAPACK's dpotrf/dpotrs directly, not through scipy's checking wrappers,
-and the Newton loop avoids numpy's module-level wrappers.
+its numpy and LAPACK calls, not its flops.  So both factorizations go
+through ``_cholesky``, which calls LAPACK's dpotrf/dpotrs directly, not
+scipy's checking wrappers, and the Newton loop avoids numpy's wrappers.
 
 Optimality has one definition, ``residuals``, the five scaled KKT
 residuals a model reports: the interior point stops on them, and the
@@ -331,7 +331,7 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
 # active-set polish (crossover)
 
 
-def _crossover(problem: QpProblem, z0: np.ndarray, mu0: np.ndarray,
+def _crossover(problem: QpProblem, z: np.ndarray, mu0: np.ndarray,
                tol: float):
     """Polish an interior-point iterate onto an exact face.
 
@@ -344,36 +344,28 @@ def _crossover(problem: QpProblem, z0: np.ndarray, mu0: np.ndarray,
     conditions fail.  Returns the face's (z, nu, mu, objective, residuals),
     mu as ``residuals``' default, or None unless it meets ``tol`` in budget.
     """
-    if not np.all(np.isfinite(z0)):
-        return None
-    free = z0 > np.maximum(mu0, 0.0)
     k, l = problem.k, problem.l
-
-    def guard(free: np.ndarray, z: np.ndarray) -> None:
-        # every simplex row needs at least one free coordinate
-        covered = free.reshape(k, l).any(axis=0)
-        top = z.reshape(k, l).argmax(axis=0) * l + np.arange(l)
-        free[top[~covered]] = True
-
-    guard(free, z0)
+    free = z > np.maximum(mu0, 0.0)
     c_scale = 1.0 + np.abs(problem.c).max()
-    z_scale = 1.0 + np.abs(z0).max()
+    z_scale = 1.0 + np.abs(z).max()
     # any feasible coordinate obeys its simplex row, so a face solution
     # beyond the cap scale means the face system was effectively singular
     z_cap = 10.0 * (1.0 + np.abs(problem.b).sum())
 
     seen: set[bytes] = set()
     for _ in range(60):
-        idx = np.flatnonzero(free)
-        if idx.size - l > 6000:         # p, the face's reduced dimension
+        # a simplex row left with no free coordinate frees its largest
+        top = z.reshape(k, l).argmax(axis=0) * l + np.arange(l)
+        free[top[~free.reshape(k, l).any(axis=0)]] = True
+        if np.count_nonzero(free) - l > 6000:   # p, the reduced dimension
             return None
         key = np.packbits(free).tobytes()
         if key in seen:            # cycling over degenerate faces
             return None
         seen.add(key)
         try:
-            z, nu = _solve_face(problem, idx)
-        except (np.linalg.LinAlgError, ValueError):
+            z, nu = _solve_face(problem, free)
+        except np.linalg.LinAlgError:
             return None
         if np.abs(z).max() > z_cap or not np.all(np.isfinite(nu)):
             return None
@@ -381,27 +373,28 @@ def _crossover(problem: QpProblem, z0: np.ndarray, mu0: np.ndarray,
         mu = qz + problem.c - problem.at_mul(nu)
         drop = free & (z < -1e-9 * z_scale)
         add = ~free & (mu < -1e-9 * (c_scale + np.abs(qz).max()))
+        z = np.maximum(z, 0.0)
         if not drop.any() and not add.any():
             break
         free[drop] = False
         free[add] = True
-        guard(free, np.maximum(z, 0.0))
     else:
         return None
 
-    z = np.maximum(z, 0.0)
     res, obj, _, _, mu = residuals(problem, z, nu)
     if not all(v <= tol for v in res.values()):
         return None
     return z, nu, mu, obj, res
 
 
-def _solve_face(problem: QpProblem, idx: np.ndarray):
-    """Exact KKT solve with inactive coordinates pinned to zero.
+def _solve_face(problem: QpProblem, free: np.ndarray):
+    """Exact KKT solve with the coordinates off the boolean mask ``free``
+    pinned to zero; the mask is read, not written.
 
-    Returns (z, nu) with z full-length; every simplex row needs a free
-    coordinate.  Null-space method (Nocedal & Wright, 2nd ed., 16.2):
-    sample i's first free coordinate j0 is its pivot, z = z0 + Nw with
+    Returns (z, nu) with z full-length.  Precondition, not checked: every
+    simplex row holds a free coordinate, as ``_crossover`` keeps them.
+    Null-space method (Nocedal & Wright, 2nd ed., 16.2): sample i's
+    first free coordinate j0 is its pivot, z = z0 + Nw with
     z0 = C_i on the pivots, and each other free (j, i) is a column
     e_j - e_j0 of N, so DN has the one entry c_j - c_j0 in row i.  The
     SPD R = N'QN = M'M + reg(I + S), M = W'(DN), S[a, b] = 1 within a
@@ -410,26 +403,16 @@ def _solve_face(problem: QpProblem, idx: np.ndarray):
     stationarity.  With no border nu_0 is free: nu is the least-norm one.
     """
     l, y, coeffs = problem.l, problem.y, problem.block_coeffs
-    free = np.zeros(problem.n, dtype=bool)
-    free[idx] = True
-    face = free.reshape(problem.k, l)
-    if not face.any(axis=0).all():
-        raise ValueError("a simplex row has no free coordinate")
-    piv = face.argmax(axis=0) * l + np.arange(l)  # sample i's pivot
-    free[piv] = False
-    rest = np.flatnonzero(free)
+    piv = free.reshape(problem.k, l).argmax(axis=0) * l + np.arange(l)
+    idx = np.flatnonzero(free)
+    rest = idx[idx != piv[idx % l]]     # the free coordinates but pivots
     rs = rest % l
     a = coeffs[piv // l] * y            # the pivots' balance coefficients
     delta = coeffs[rest // l] - coeffs[piv[rs] // l]
     border = delta * y[rs]
     M = (problem.W[rs] * delta[:, None]).T
     R = M.T @ M + problem.reg * (np.eye(rs.size) + (rs[:, None] == rs))
-    L = _cholesky(R)        # a copy: the refinement below reads R
-
-    def R_solve(v):
-        # dpotrs rejects the empty system of a face with p = 0
-        return _potrs(L, v, lower=1)[0] if v.size else v
-
+    R_solve = _cholesky(R)      # factors a copy: the refinement reads R
     Rb = R_solve(border)
     schur = border @ Rb
 
@@ -507,14 +490,14 @@ def _factorize(problem: QpProblem, d: np.ndarray):
     K = Wg.T @ Wg
     K -= np.multiply.outer(p, p / sigma)
     K.flat[::K.shape[0] + 1] += 1.0
-    L = _cholesky(K)
+    K_solve = _cholesky(K)
 
     def solve_kkt(r1: np.ndarray, r2: np.ndarray):
         u = pinv * r1
         su = problem.combined(u)
         h2 = r2 - problem.a_mul(u, su)
         e = T_solve(h2)
-        v = _potrs(L, W.T @ (su + gy * e[0] + t * e[1:]), lower=1)[0]
+        v = K_solve(W.T @ (su + gy * e[0] + t * e[1:]))
         Wv = W @ v
         h2[0] += gy @ Wv
         h2[1:] += t * Wv
@@ -526,11 +509,12 @@ def _factorize(problem: QpProblem, d: np.ndarray):
     return solve_kkt
 
 
-def _cholesky(A: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the SPD A (dpotrf, into a copy; the upper
-    triangle keeps A's, which dpotrs never reads).  LinAlgError unless
-    dpotrf's info is 0: A not positive definite, or an illegal argument."""
+def _cholesky(A: np.ndarray):
+    """v -> A^-1 v for the SPD A: dpotrs over A's lower Cholesky factor
+    (dpotrf, into a copy), and an empty v passed through, as dpotrs
+    rejects it.  LinAlgError unless dpotrf's info is 0: A not positive
+    definite, or an illegal argument."""
     L, info = _potrf(A, lower=1, clean=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotrf failed with info = {info}")
-    return L
+    return lambda v: _potrs(L, v, lower=1)[0] if v.size else v

@@ -82,6 +82,8 @@ class TrainedModel:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
+        if not np.isfinite(X).all():
+            raise DataError("non-finite feature values")
         if self.normalizer is not None:
             X = self.normalizer.apply(X)
         if X.shape[1] != self.support_x.shape[1]:

@@ -554,6 +554,57 @@ class TestBenchCommand:
         assert fam3[3] == (1.0, -0.6) and fam3[4] == (1.5, 1.0)
 
 
+class TestNotUtf8:
+    """A file that does not decode as UTF-8 is a data error naming it."""
+
+    @pytest.mark.parametrize("command", [
+        "predict --model", "train --data csv", "train --data libsvm",
+        "bench --manifest", "bench --replay"])
+    def test_is_data_error(self, command, monk3_files, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff")
+        manifest = str(monk3_files["corpus"] / "manifest.csv")
+        train = ["train", "--data", str(bad), "--c0", "1", "--taus", "0.4",
+                 "--epsilons", "0.5", "--out", str(tmp_path / "m.model")]
+        bench = ["bench", "--outdir", str(tmp_path / "rep"), "--no-timing"]
+        argv = {
+            "predict --model": ["predict", "--model", str(bad),
+                                "--data", str(monk3_files["test"])],
+            "train --data csv": train,
+            "train --data libsvm": train + ["--format", "libsvm"],
+            "bench --manifest": bench + ["--manifest", str(bad)],
+            "bench --replay": bench + ["--manifest", manifest,
+                                       "--replay", str(bad)],
+        }[command]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_bench_dataset_is_a_warning_row(self, monk3_files, tmp_path,
+                                            capsys):
+        # the run goes on to the manifest's next dataset
+        (tmp_path / "latin1.csv").write_bytes("1,caf\xe9\n".encode("latin-1"))
+        corpus = monk3_files["corpus"]
+        monk3 = (corpus / "manifest.csv").read_text(
+            encoding="utf-8").splitlines()[1]
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "name,path,format,n_train,seed\nlatin1,latin1.csv,csv,1,\n"
+            + monk3.replace("monk3.csv", str(corpus / "monk3.csv")) + "\n",
+            encoding="utf-8")
+        outdir = tmp_path / "rep"
+        code = cli.main(["bench", "--manifest", str(manifest),
+                         "--outdir", str(outdir),
+                         "--replay", "benchmarks/replay_linear.csv",
+                         "--no-timing"])
+        assert code == 0
+        capsys.readouterr()
+        rows = (outdir / "consolidated.csv").read_text(
+            encoding="utf-8").splitlines()[1:]
+        latin1 = [r for r in rows if r.startswith("latin1,")]
+        assert len(latin1) == 1 and "not UTF-8 text" in latin1[0]
+        assert sum(r.startswith("monk3,") for r in rows) >= 4
+
+
 class TestMakeDataCommand:
     def test_unknown_include_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "corpus"

@@ -106,6 +106,12 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate(self._Const(1.0), np.zeros((0, 2)), np.zeros(0))
 
+    @pytest.mark.parametrize("n_labels", [1, 3, 5])
+    def test_label_count_must_match_rows(self, n_labels):
+        # one label would broadcast against every row
+        with pytest.raises(DataError, match=f"{n_labels} labels for 4"):
+            evaluate(self._Const(1.0), np.zeros((4, 2)), np.ones(n_labels))
+
     def test_holdout_score_is_evaluate(self, monkeypatch):
         # 100 * 23 / 320 is 7.1875 exactly; 100 * (23 / 320) is not
         monkeypatch.setattr(modelsel, "train",

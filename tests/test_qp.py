@@ -205,7 +205,7 @@ class TestFaceSolve:
         """(nu, gradient on the face) after checking the face KKT system."""
         idx = np.flatnonzero(free)
         with np.errstate(all="raise"):
-            z, nu = qp._solve_face(problem, idx)
+            z, nu = qp._solve_face(problem, free)
         assert np.all(z[~free] == 0.0)
         Q, A = dense_qa(problem)
         m = problem.m_eq
@@ -248,6 +248,39 @@ class TestFaceSolve:
         _, A = dense_qa(problem)
         least = np.linalg.lstsq(A[:, free].T, grad, rcond=None)[0]
         np.testing.assert_allclose(nu, least, rtol=1e-10, atol=1e-12)
+
+
+class TestCrossover:
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_uncovered_sample_frees_its_largest_coordinate(self, i,
+                                                          monkeypatch):
+        # mu0 > z0 on every block of sample i leaves its simplex row with
+        # no free coordinate; the swap loop frees the largest, and the
+        # face solve reads the mask without writing it
+        problem = TestFaceSolve.face_problem(np.random.default_rng(0),
+                                             (0.3, -0.6), thin=True)
+        k, l = problem.k, problem.l
+        z, _, mu, *_ = qp._interior_point(problem, 1e-8, 200)
+        mu0 = mu.reshape(k, l).copy()
+        mu0[:, i] = z.reshape(k, l)[:, i] + 1.0
+        faces, solve_face = [], qp._solve_face
+
+        def spy(problem, free):
+            faces.append(free.copy())
+            out = solve_face(problem, free)
+            assert np.array_equal(free, faces[-1])
+            return out
+
+        monkeypatch.setattr(qp, "_solve_face", spy)
+        polished = qp._crossover(problem, z, mu0.ravel(), 1e-8)
+        assert polished is not None
+        top = z.reshape(k, l)[:, i].argmax()
+        np.testing.assert_array_equal(faces[0].reshape(k, l)[:, i],
+                                      np.arange(k) == top)
+        z, nu, mu, obj, res = polished
+        assert max(res.values()) <= 1e-8
+        assert_kkt_certificate(
+            problem, qp.QpSolution(z, obj, res, 0, "optimal", nu, mu))
 
 
 class TestInteriorPoint:

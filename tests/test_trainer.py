@@ -169,6 +169,17 @@ class TestTrainBasics:
         with pytest.raises(DataError):
             m.predict(np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_predict_nonfinite_features_rejected(self, value):
+        # as train rejects them; the score would be NaN, read as -1
+        X, y = blob_pair()
+        m = train(X, y, TrainParams(loss=loss.hinge(), c0=1.0))
+        X[3, 1] = value
+        with pytest.raises(DataError, match="non-finite"):
+            m.predict(X)
+        with pytest.raises(DataError, match="non-finite"):
+            m.decision_function(X[3])
+
     def test_score_tie_is_positive(self):
         X, y = blob_pair()
         m = train(X, y, TrainParams(loss=loss.hinge(), c0=1.0))
