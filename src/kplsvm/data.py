@@ -101,9 +101,10 @@ def _parse_label(tok: str):
 
 @contextlib.contextmanager
 def open_text(path):
-    """The UTF-8 text file ``path`` opened for reading; bytes that do not
-    decode raise DataError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The UTF-8 text file ``path`` opened for reading, without the one
+    leading byte-order mark some editors write; bytes that do not decode
+    raise DataError naming the file."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

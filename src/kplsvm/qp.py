@@ -22,9 +22,9 @@ predictor-corrector steps.  Its Newton system is solved by block
 elimination down to one r x r Cholesky factorization per iteration, so
 an iteration costs O(k*l + l*r^2 + r^3).  Each direction is one solve
 over that factor, not refined (``_factorize`` says why).
-An active-set crossover then polishes the last iterate onto an exact
-face.  It solves each face in the null space of its simplex rows,
-through a Cholesky factorization too.
+An active-set crossover, with bulk pins in phase 1 and ratio tests
+after, polishes the last iterate onto an exact face.  It solves each
+face in the null space of its simplex rows, by Cholesky too.
 
 At small r (a linear kernel has r = n features) an iteration costs
 its numpy and LAPACK calls, not its flops.  So both factorizations go
@@ -337,47 +337,47 @@ def _crossover(problem: QpProblem, z: np.ndarray, mu0: np.ndarray,
 
     Interior-point complementarity pairs only vanish in the limit; the
     surviving O(tol) products get amplified wherever later work divides
-    by a small multiplier (bias candidates most of all).  Fixing the
-    active set suggested by the iterate and solving the reduced
-    equality-constrained KKT system makes the products exactly zero up
-    to linear-algebra precision.  Coordinates are swapped while sign
-    conditions fail.  Returns the face's (z, nu, mu, objective, residuals),
-    mu as ``residuals``' default, or None unless it meets ``tol`` in budget.
+    by a small multiplier (bias candidates most of all).  A primal
+    active-set method (Nocedal & Wright, 2nd ed., 16.5) zeroes them.
+    Phase 1 pins at once the free coordinates that a face takes below
+    -1e-9(1 + max|z|), from the guessed face on.  At a face that takes
+    none, z is the face clipped at 0: it stops there unless a pinned
+    multiplier is negative, and frees the most negative.  After that, a
+    face that takes one gets a ratio test: z steps towards the face until
+    a coordinate reaches 0, and pins it (a face's simplex row sums to
+    C_i > 0, so no pin empties a row).  Returns the face's (z, nu, mu,
+    objective, residuals), mu as ``residuals``' default, or None on a
+    singular face, p > 6000, 60 face solves, or a miss of ``tol``.
     """
     k, l = problem.k, problem.l
     free = z > np.maximum(mu0, 0.0)
+    # a simplex row with no free coordinate frees its largest
+    top = z.reshape(k, l).argmax(axis=0) * l + np.arange(l)
+    free[top[~free.reshape(k, l).any(axis=0)]] = True
     c_scale = 1.0 + np.abs(problem.c).max()
-    z_scale = 1.0 + np.abs(z).max()
-    # any feasible coordinate obeys its simplex row, so a face solution
-    # beyond the cap scale means the face system was effectively singular
-    z_cap = 10.0 * (1.0 + np.abs(problem.b).sum())
-
-    seen: set[bytes] = set()
+    released = False
     for _ in range(60):
-        # a simplex row left with no free coordinate frees its largest
-        top = z.reshape(k, l).argmax(axis=0) * l + np.arange(l)
-        free[top[~free.reshape(k, l).any(axis=0)]] = True
         if np.count_nonzero(free) - l > 6000:   # p, the reduced dimension
             return None
-        key = np.packbits(free).tobytes()
-        if key in seen:            # cycling over degenerate faces
-            return None
-        seen.add(key)
         try:
-            z, nu = _solve_face(problem, free)
+            face, nu = _solve_face(problem, free)
         except np.linalg.LinAlgError:
             return None
-        if np.abs(z).max() > z_cap or not np.all(np.isfinite(nu)):
-            return None
-        qz = problem.q_mul(z)
-        mu = qz + problem.c - problem.at_mul(nu)
-        drop = free & (z < -1e-9 * z_scale)
-        add = ~free & (mu < -1e-9 * (c_scale + np.abs(qz).max()))
-        z = np.maximum(z, 0.0)
-        if not drop.any() and not add.any():
+        low = np.flatnonzero(free & (face < -1e-9 * (1.0 + z.max())))
+        if low.size and released:   # ratio test: pin the first to reach 0
+            ratio = z[low] / (z[low] - face[low])
+            z = np.maximum(z + ratio.min() * (face - z), 0.0)
+            free[low[ratio.argmin()]] = False
+            continue
+        z = np.maximum(face, 0.0)
+        if low.size:                # phase 1: pin them all at once
+            free[low] = False
+            continue
+        qz = problem.q_mul(face)
+        mu = np.where(free, np.inf, qz + problem.c - problem.at_mul(nu))
+        if not mu.min() < -1e-9 * (c_scale + np.abs(qz).max()):
             break
-        free[drop] = False
-        free[add] = True
+        free[mu.argmin()] = released = True
     else:
         return None
 

@@ -92,6 +92,26 @@ class TestLibsvmLoader:
             data.load_dataset(p, fmt="parquet")
 
 
+class TestByteOrderMark:
+    # a UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes, is not part
+    # of the first field: every row loads and the labels map to +-1
+    @pytest.mark.parametrize("name, text, kwargs", [
+        ("t.csv", "0.5,0.25,1\n0.1,0.2,0\n0.3,0.7,1\n0.9,0.4,0\n",
+         {"label_col": -1}),
+        ("t.csv", "1,0.5,0.25\n0,0.1,0.2\n1,0.3,0.7\n0,0.9,0.4\n", {}),
+        ("t.svm", "1 1:0.5 2:0.25\n-1 1:0.1\n1 2:0.7\n-1 1:0.9\n",
+         {"fmt": "libsvm"}),
+    ])
+    def test_leading_bom_is_skipped(self, tmp_path, name, text, kwargs):
+        p = tmp_path / name
+        p.write_text(text, encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+        ds = data.load_dataset(str(p), **kwargs)
+        assert ds.y.tolist() == [1.0, -1.0, 1.0, -1.0]
+        assert ds.X.shape == (4, 2)
+        assert ds.X[0].tolist() == [0.5, 0.25]
+
+
 class TestNormalizer:
     def test_affine_map(self):
         tr = data.fit_normalizer(np.array([[0.0], [5.0], [10.0]]))

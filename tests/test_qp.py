@@ -3,6 +3,7 @@ import pytest
 import scipy.optimize
 
 from kplsvm import kernels, loss, qp, trainer
+from kplsvm.data import fit_normalizer
 from kplsvm.errors import InfeasibleError, TrainingError
 
 
@@ -255,8 +256,8 @@ class TestCrossover:
     def test_uncovered_sample_frees_its_largest_coordinate(self, i,
                                                           monkeypatch):
         # mu0 > z0 on every block of sample i leaves its simplex row with
-        # no free coordinate; the swap loop frees the largest, and the
-        # face solve reads the mask without writing it
+        # no free coordinate; the polish frees the largest before its
+        # first face, and the face solve reads the mask without writing it
         problem = TestFaceSolve.face_problem(np.random.default_rng(0),
                                              (0.3, -0.6), thin=True)
         k, l = problem.k, problem.l
@@ -277,6 +278,32 @@ class TestCrossover:
         top = z.reshape(k, l)[:, i].argmax()
         np.testing.assert_array_equal(faces[0].reshape(k, l)[:, i],
                                       np.arange(k) == top)
+        z, nu, mu, obj, res = polished
+        assert max(res.values()) <= 1e-8
+        assert_kkt_certificate(
+            problem, qp.QpSolution(z, obj, res, 0, "optimal", nu, mu))
+
+    @pytest.mark.parametrize("taus, epsilons", [
+        ((0.4,), (5.0,)),
+        ((-0.8, -0.4), (1.0, 2.0)),
+    ])
+    def test_degenerate_haberman_cell_keeps_its_polish(self, standin, taus,
+                                                       epsilons):
+        # haberman stand-in (corpus seed 0, split seed 0), normalized rows,
+        # linear kernel, balanced caps, C0 = 0.125: dropping every negative
+        # coordinate and adding every negative multiplier at once revisits
+        # a face here; releasing one multiplier per face, with a ratio test
+        # after it, reaches the optimum
+        ds = standin("haberman")
+        tr, _ = ds.split
+        X, y = ds.X[tr], ds.y[tr]
+        Xn = fit_normalizer(X).apply(X)
+        problem = qp.assemble_dual(
+            y[:, None] * Xn, y, trainer._class_caps(y, 0.125, True),
+            loss.canonical(loss.LossSpec(taus=taus, epsilons=epsilons)))
+        z, _, mu, *_ = qp._interior_point(problem, 1e-8, 200)
+        polished = qp._crossover(problem, z, mu, 1e-8)
+        assert polished is not None
         z, nu, mu, obj, res = polished
         assert max(res.values()) <= 1e-8
         assert_kkt_certificate(

@@ -237,10 +237,21 @@ class TestSolverStatus:
     def test_failed_train_names_plain_residuals(self):
         X, y = blob_pair()
         with pytest.raises(TrainingError, match="max_iter") as err:
-            train(X, y, TrainParams(loss=loss.hinge(), c0=1.0, max_iter=2))
+            # the polish verifies from this iterate at the default qp_tol;
+            # no face meets 1e-30, so the train keeps its max_iter exit
+            train(X, y, TrainParams(loss=loss.hinge(), c0=1.0, max_iter=2,
+                                    qp_tol=1e-30))
         assert "np.float64" not in str(err.value)
         # the residuals carry the names of the model's own KKT report
         assert "'complementarity_max'" in str(err.value)
+
+    def test_polish_verifies_from_the_start_point(self):
+        # max_iter = 1 returns the interior point's start point; the
+        # ratio-test polish still reaches the optimal face from it
+        X, y = blob_pair()
+        m = train(X, y, TrainParams(loss=loss.hinge(), c0=1.0, max_iter=1))
+        assert m.diagnostics["qp_status"] == "optimal"
+        assert m.diagnostics["kkt_max_residual"] <= 1e-6
 
     @pytest.mark.parametrize("scale", [1e160, 1e300])
     def test_non_finite_first_residuals_fail_as_training_error(self, scale):
