@@ -88,6 +88,5 @@ def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
     np.maximum(sq, 0.0, out=sq)
     if spec.rbf_form == "plain-distance":
         np.sqrt(sq, out=sq)
-    np.negative(sq, out=sq)
-    sq /= 2.0 * spec.q * spec.q
+    sq /= -(2.0 * spec.q * spec.q)     # equals (-sq) / (2 q^2) bit for bit
     return np.exp(sq, out=sq)

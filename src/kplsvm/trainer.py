@@ -67,6 +67,12 @@ class TrainParams:
             raise TrainingError("loss must have at least one non-identity piece")
 
 
+# Cross-Gram entries per row block of an RBF predict: 2**18 doubles, 2 MB.
+# ``cross_gram`` holds the block and one product of its size, so a predict
+# works in about 4 MB, a cache-sized working set, whatever its row count.
+_PREDICT_BLOCK_ENTRIES = 1 << 18
+
+
 @dataclass
 class TrainedModel:
     kernel: KernelSpec
@@ -79,9 +85,18 @@ class TrainedModel:
     diagnostics: dict = field(default_factory=dict)
 
     def decision_function(self, X) -> np.ndarray:
+        """f(x) = sum_i beta_i k(x_i, x) + b for each row of X.
+
+        Memory beyond X and f does not grow with the row count: a linear
+        model scores through w = support_x' beta, derived on each call,
+        and an RBF model fills f in row blocks of at most 2**18
+        cross-Gram entries.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
+        if X.ndim != 2:
+            raise DataError(f"expected 2-d sample array, got shape {X.shape}")
         if not np.isfinite(X).all():
             raise DataError("non-finite feature values")
         if self.normalizer is not None:
@@ -90,8 +105,15 @@ class TrainedModel:
             raise DataError(
                 f"model expects {self.support_x.shape[1]} features, "
                 f"got {X.shape[1]}")
-        K = kernels.cross_gram(self.kernel, X, self.support_x)
-        return K @ self.beta + self.bias
+        if self.kernel.kind == "linear":
+            return X @ (self.support_x.T @ self.beta) + self.bias
+        rows = max(1, _PREDICT_BLOCK_ENTRIES // max(1, self.beta.size))
+        f = np.empty(X.shape[0])
+        for i in range(0, X.shape[0], rows):
+            f[i:i + rows] = kernels.cross_gram(
+                self.kernel, X[i:i + rows], self.support_x) @ self.beta
+        f += self.bias
+        return f
 
     def predict(self, X) -> np.ndarray:
         # score exactly 0 maps to +1

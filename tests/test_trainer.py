@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -384,6 +385,83 @@ class TestSupportPruning:
                      normalize=False)
         np.testing.assert_allclose(pruned.decision_function(X),
                                    full.decision_function(X), atol=1e-6)
+
+
+class TestPredict:
+    """A linear model scores through w, an RBF model in row blocks."""
+
+    @staticmethod
+    def random_model(kernel, support=300, n=4):
+        rng = np.random.default_rng(0)
+        return trainer.TrainedModel(
+            kernel=kernel, loss=loss.hinge(), c0=1.0,
+            support_x=rng.uniform(-1.0, 1.0, size=(support, n)),
+            beta=rng.normal(size=support), bias=0.3)
+
+    @pytest.mark.parametrize("kernel", [
+        KernelSpec("linear"), KernelSpec("rbf", q=0.7),
+        KernelSpec("rbf", q=0.7, rbf_form="plain-distance"),
+    ], ids=["linear", "rbf-squared", "rbf-plain"])
+    def test_block_boundaries(self, kernel):
+        model = self.random_model(kernel)
+        rows = trainer._PREDICT_BLOCK_ENTRIES // model.beta.size
+        tol = 1e-12 * (1.0 + np.abs(model.beta).sum())
+        rng = np.random.default_rng(1)
+        for m in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3):
+            X = rng.uniform(-1.0, 1.0, size=(m, 4))
+            full = kernels.cross_gram(kernel, X, model.support_x)
+            f = model.decision_function(X)
+            assert f.shape == (m,)
+            np.testing.assert_allclose(f, full @ model.beta + model.bias,
+                                       rtol=0.0, atol=tol)
+
+    def test_linear_predict_skips_cross_gram(self, monkeypatch):
+        X, y = blob_pair()
+        m = train(X, y, TrainParams(loss=loss.hinge(), c0=1.0))
+        real = kernels.cross_gram
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "cross_gram", counting)
+        f = m.decision_function(X)
+        assert calls == []
+        full = real(m.kernel, m.normalizer.apply(X), m.support_x)
+        np.testing.assert_allclose(f, full @ m.beta + m.bias, rtol=0.0,
+                                   atol=1e-12 * (1.0 + np.abs(m.beta).sum()))
+
+    def test_rbf_predict_memory_is_one_block(self):
+        # the full 20,000 x 400 cross-Gram and its distance array: 2 x 64 MB
+        model = self.random_model(KernelSpec("rbf", q=0.7), support=400, n=3)
+        X = np.random.default_rng(2).uniform(-1.0, 1.0, size=(20_000, 3))
+        block_bytes = 8 * trainer._PREDICT_BLOCK_ENTRIES
+        tracemalloc.start()
+        try:
+            f = model.decision_function(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.shape == (20_000,)
+        assert peak < 3 * block_bytes
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_input_must_be_one_or_two_d(self, kind, normalize):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(20, 3))
+        y = np.where(X[:, 0] > 0, 1.0, -1.0)
+        m = train(X, y, TrainParams(loss=loss.hinge(), c0=1.0,
+                                    kernel=KernelSpec(kind)),
+                  normalize=normalize)
+        for shape in [(2, 3, 1), (2, 1, 3), (1, 2, 3)]:
+            with pytest.raises(DataError, match="2-d"):
+                m.predict(np.zeros(shape))
+        assert m.decision_function(np.zeros((0, 3))).shape == (0,)
+        assert m.predict(np.zeros((0, 3))).shape == (0,)
+        np.testing.assert_array_equal(m.decision_function(X[5]),
+                                      m.decision_function(X[5:6]))
 
 
 def phi_at(scores_wo_b, spec, y, C, b):
