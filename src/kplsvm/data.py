@@ -222,6 +222,8 @@ class NormalizationTransform:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
+        if X.ndim != 2:
+            raise DataError(f"expected 2-d sample array, got shape {X.shape}")
         if X.shape[1] != self.mins.size:
             raise DataError(
                 f"normalizer fitted on {self.mins.size} features, "

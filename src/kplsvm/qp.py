@@ -19,9 +19,11 @@ Gram matrix uses F = ``gram_factor(G)``, its jittered Cholesky factor
 
 ``solve`` runs a primal-dual interior-point method with Mehrotra's
 predictor-corrector steps.  Its Newton system is solved by block
-elimination down to one r x r Cholesky factorization per iteration, so
-an iteration costs O(k*l + l*r^2 + r^3).  Each direction is one solve
-over that factor, not refined (``_factorize`` says why).
+elimination down to one r x r Cholesky factorization per iteration.
+Forming its matrix K costs l*r^2 flops for a thin factor; a Cholesky
+factor W is lower triangular, and K is formed from its triangle in r^3/3
+(LAPACK dlauum).  Factoring K costs r^3/3 more.  Each direction is one
+solve over that factor, not refined (``_factorize`` says why).
 An active-set crossover, with bulk pins in phase 1 and ratio tests
 after, polishes the last iterate onto an exact face.  It solves each
 face in the null space of its simplex rows, by Cholesky too.
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -62,8 +65,9 @@ _FEAS_TOL = 1e-9
 
 # fetched through scipy.linalg: importing scipy.linalg.lapack ahead of the
 # rest of scipy.linalg cost a fresh process about 0.05 s more system time
-_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
-                                               dtype=np.float64)
+_potrf, _potrs, _lauum = scipy.linalg.get_lapack_funcs(
+    ("potrf", "potrs", "lauum"), dtype=np.float64)
+_syr, = scipy.linalg.get_blas_funcs(("syr",), dtype=np.float64)
 
 
 @dataclass
@@ -93,6 +97,12 @@ class QpProblem:
     @property
     def m_eq(self) -> int:
         return self.b.size
+
+    @cached_property
+    def lower(self) -> bool:
+        """W is square and lower triangular, as ``gram_factor`` gives it."""
+        W = self.W
+        return W.shape[0] == W.shape[1] and not np.triu(W, 1).any()
 
     def combined(self, z: np.ndarray) -> np.ndarray:
         """s = Dz, the per-sample combined coefficients."""
@@ -146,10 +156,15 @@ def gram_factor(G: np.ndarray) -> np.ndarray:
     scale = max(np.trace(G) / l, 1e-8)
     delta = 1e-12 * scale
     for _ in range(8):
-        try:
-            return np.linalg.cholesky(G + delta * np.eye(l))
-        except np.linalg.LinAlgError:
-            delta *= 100.0
+        A = np.array(G, dtype=float, order="C")
+        A.flat[::l + 1] += delta
+        # A is symmetric, so A' is the same matrix in Fortran order:
+        # dpotrf factors it in place as U'U, U zeroed below, and the
+        # transpose U' = L is C-ordered, as the solver's products want W
+        U, info = _potrf(A.T, lower=0, clean=1, overwrite_a=1)
+        if info == 0:
+            return U.T
+        delta *= 100.0
     raise InfeasibleError("Gram matrix is not positive semidefinite")
 
 
@@ -463,6 +478,10 @@ def _factorize(problem: QpProblem, d: np.ndarray):
     with Gamma_i = sum_m P^{-1}_mi (c_m - t_i/r_i)^2 the spread of sample
     i's block coefficients and sigma = sum(Gamma) T's corner Schur
     complement.  diag(Gamma) - (y*Gamma)(y*Gamma)'/sigma is PSD, so K >= I.
+
+    W'diag(Gamma)W costs l*r^2 flops as a general product, and r^3/3 by
+    dlauum from the triangle of a lower-triangular W (``QpProblem.lower``);
+    factoring K costs r^3/3 more.
     """
     W, y = problem.W, problem.y
     l, k = problem.l, problem.k
@@ -487,8 +506,17 @@ def _factorize(problem: QpProblem, d: np.ndarray):
 
     p = W.T @ (y * gamma)
     Wg = W * np.sqrt(gamma)[:, None]
-    K = Wg.T @ Wg
-    K -= np.multiply.outer(p, p / sigma)
+    if problem.lower:
+        # Wg' is upper triangular and Fortran-ordered: dlauum overwrites
+        # its upper triangle with Wg'Wg, dsyr subtracts pp'/sigma there,
+        # and the transpose is that triangle read as lower
+        U, info = _lauum(Wg.T, lower=0, overwrite_c=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dlauum failed with info = {info}")
+        K = _syr(-1.0 / sigma, p, lower=0, a=U, overwrite_a=1).T
+    else:
+        K = Wg.T @ Wg
+        K -= np.multiply.outer(p, p / sigma)
     K.flat[::K.shape[0] + 1] += 1.0
     K_solve = _cholesky(K)
 

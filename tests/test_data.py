@@ -138,6 +138,20 @@ class TestNormalizer:
         with pytest.raises(DataError):
             tr.apply(np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("shape", [(2, 3, 1), (2, 3, 3), (1, 2, 3)])
+    def test_input_must_be_one_or_two_d(self, shape):
+        tr = data.fit_normalizer(np.arange(6.0).reshape(2, 3))
+        with pytest.raises(DataError):
+            tr.apply(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape, out_shape", [((0, 3), (0, 3)),
+                                                  ((3,), (1, 3))])
+    def test_empty_and_single_row_apply(self, shape, out_shape):
+        tr = data.fit_normalizer(np.arange(6.0).reshape(2, 3))
+        out = tr.apply(np.broadcast_to([1.5, 2.5, 3.5], shape))  # midpoints
+        assert out.shape == out_shape
+        assert (out == 0.0).all()
+
 
 class TestSplit:
     def make(self, l=306):

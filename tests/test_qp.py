@@ -156,6 +156,65 @@ class TestNewtonFactor:
             assert (res / scale).max() <= 1e-9
 
 
+class TestTriangularFactor:
+    """A lower-triangular W forms K from its triangle (dlauum, dsyr)."""
+
+    @staticmethod
+    def rbf_problem(k_extra, rotate=False, seed=0, l=15):
+        rng = np.random.default_rng(seed)
+        spec = loss.LossSpec(taus=tuple(rng.uniform(-0.9, 1.0, k_extra)),
+                             epsilons=tuple(rng.uniform(-2, 2, k_extra)))
+        y = np.where(np.arange(l) % 3 == 0, 1.0, -1.0)
+        G = kernels.gram(kernels.KernelSpec("rbf"), rng.normal(size=(l, 3)))
+        W = y[:, None] * qp.gram_factor(G)
+        if rotate:      # H = WQ(WQ)' is unchanged; WQ is not triangular
+            W = W @ np.linalg.qr(rng.normal(size=(l, l)))[0]
+        C = rng.uniform(0.5, 2.0, size=l)
+        return qp.assemble_dual(W, y, C, spec), rng
+
+    @pytest.mark.parametrize("k_extra", [1, 2])
+    def test_triangle_matches_general_product(self, k_extra):
+        for seed in range(3):
+            tri, rng = self.rbf_problem(k_extra, seed=seed)
+            rot, _ = self.rbf_problem(k_extra, rotate=True, seed=seed)
+            assert tri.lower and not rot.lower
+            d = 10.0 ** rng.uniform(-2, 2, size=tri.n)
+            r1 = rng.normal(size=tri.n)
+            r2 = rng.normal(size=tri.m_eq)
+            dz, dnu = qp._factorize(tri, d)(r1, r2)
+            dz_ref, dnu_ref = qp._factorize(rot, d)(r1, r2)
+            scale = np.abs(np.concatenate((dz_ref, dnu_ref))).max()
+            assert np.abs(dz - dz_ref).max() <= 1e-10 * scale
+            assert np.abs(dnu - dnu_ref).max() <= 1e-10 * scale
+
+    def test_lower_is_derived_from_w(self):
+        assert self.rbf_problem(1)[0].lower
+        assert not self.rbf_problem(1, rotate=True)[0].lower
+        y = np.array([1.0, -1.0, 1.0])
+        X = np.arange(6.0).reshape(3, 2)
+        assert not qp.assemble_dual(y[:, None] * X, y, np.ones(3),
+                                    loss.hinge()).lower
+
+    def test_only_a_triangular_factor_calls_dlauum(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lauum(*args, **kwargs)
+
+        lauum = qp._lauum
+        monkeypatch.setattr(qp, "_lauum", counting)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(30, 3))
+        y = np.where(X[:, 0] + 0.3 * rng.normal(size=30) > 0, 1.0, -1.0)
+        spec = loss.LossSpec(taus=(0.4,), epsilons=(0.5,))
+        trainer.train(X, y, trainer.TrainParams(loss=spec, c0=1.0))
+        assert calls == []
+        trainer.train(X, y, trainer.TrainParams(
+            loss=spec, c0=1.0, kernel=kernels.KernelSpec("rbf")))
+        assert len(calls) >= 1
+
+
 class TestCholesky:
     def test_indefinite_matrix_raises(self):
         # dpotrf returns a partial factor with info > 0 here
@@ -171,6 +230,15 @@ class TestCholesky:
         sol = qp.solve(problem)
         assert sol.status == "numerical_failure"
         assert sol.iterations == 1
+
+    def test_failed_dlauum_is_a_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(qp, "_lauum", lambda c, **kwargs: (c, -1))
+        problem = toy_dual(loss.hinge(), [1.0, 1.0, -1.0, -1.0], [1.0] * 4)
+        assert problem.lower
+        # the interior point stops; the polish may still verify its start
+        *_, iterations, status = qp._interior_point(problem, 1e-8, 200)
+        assert status == "numerical_failure"
+        assert iterations == 1
 
 
 class TestFaceSolve:
