@@ -7,10 +7,11 @@ workers of the two pools contend for the same cores.  On a 2-vCPU
 machine one 3-piece train at l = 150 takes about 300 ms with the default
 pools and about 30 ms with one thread in each copy; one thread also wins
 at l = 400 and l = 800 for both kernels.  Parallelism belongs to the grid
-cells instead.  An RBF search trains its cells on ``jobs`` threads,
-whose l x l factorizations release the interpreter lock; linear trains
-are bound by the lock, so linear cells run on the calling thread until
-they get a process pool (ROADMAP Open item 6).
+cells instead.  An RBF search trains its cells on ``jobs`` threads, which
+overlap only in numpy products: scipy's dpotrf and dlauum hold the
+interpreter lock (n = 1200, one BLAS thread: two threads of dpotrf took
+1.6-2.6x one thread's time, of ``@`` about 1x).  Linear cells run on the
+calling thread until both kernels get processes (ROADMAP Open item 6).
 
 The cap goes through ``openblas_set_num_threads_local``, the thread-count
 entry point every OpenBLAS copy exports without a build prefix.  It

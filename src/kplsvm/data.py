@@ -18,6 +18,7 @@ __all__ = [
     "load_dataset",
     "fit_normalizer",
     "split_dataset",
+    "as_rows",
     "default_seed",
 ]
 
@@ -219,15 +220,8 @@ class NormalizationTransform:
     maxs: np.ndarray
 
     def apply(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.ndim != 2:
-            raise DataError(f"expected 2-d sample array, got shape {X.shape}")
-        if X.shape[1] != self.mins.size:
-            raise DataError(
-                f"normalizer fitted on {self.mins.size} features, "
-                f"got {X.shape[1]}")
+        """Each row of X mapped; X passes ``as_rows`` at the fit's width."""
+        X = as_rows(X, self.mins.size)
         span = self.maxs - self.mins
         out = np.zeros_like(X)
         nz = span > 0
@@ -236,10 +230,25 @@ class NormalizationTransform:
 
 
 def fit_normalizer(X) -> NormalizationTransform:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
+    if np.ndim(X) != 2 or len(X) == 0:      # here 1-d is not one sample
         raise DataError("normalizer needs a nonempty 2-d sample block")
+    X = as_rows(X)
     return NormalizationTransform(mins=X.min(axis=0), maxs=X.max(axis=0))
+
+
+def as_rows(X, features: int | None = None) -> np.ndarray:
+    """X as a finite float block of sample rows, a 1-d X being one row,
+    with ``features`` columns if given; anything else raises DataError:
+    the one rule for rows entering a kernel, the normalizer or predict."""
+    X = np.asarray(X, dtype=float)
+    X = X[None, :] if X.ndim == 1 else X
+    if X.ndim != 2:
+        raise DataError(f"expected 2-d sample array, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise DataError("non-finite feature values")
+    if features is not None and X.shape[1] != features:
+        raise DataError(f"expected {features} features, got {X.shape[1]}")
+    return X
 
 
 def split_dataset(dataset: Dataset, n_train: int, seed: int | None = 0,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import as_rows
 from .errors import DataError
 
 __all__ = [
@@ -46,18 +47,9 @@ class KernelSpec:
             raise DataError("rbf width q must be positive")
 
 
-def _as_2d(X) -> np.ndarray:
-    arr = np.asarray(X, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2:
-        raise DataError(f"expected 2-d sample array, got shape {arr.shape}")
-    return arr
-
-
 def kernel_value(spec: KernelSpec, x, y) -> float:
     """k(x, y) for single vectors."""
-    return float(cross_gram(spec, _as_2d(x), _as_2d(y))[0, 0])
+    return float(cross_gram(spec, x, y)[0, 0])
 
 
 def gram(spec: KernelSpec, X) -> np.ndarray:
@@ -67,17 +59,19 @@ def gram(spec: KernelSpec, X) -> np.ndarray:
     symmetric rank-k update, and the RBF forms add the squared norms
     symmetrically.
     """
-    X = _as_2d(X)
     return cross_gram(spec, X, X)
 
 
 def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
-    """Gram block k(A_i, B_j), shape (len(A), len(B))."""
-    A = _as_2d(A)
-    B = _as_2d(B)
-    if A.shape[1] != B.shape[1]:
-        raise DataError(
-            f"feature dimensions differ: {A.shape[1]} vs {B.shape[1]}")
+    """Gram block k(A_i, B_j), shape (len(A), len(B)).
+
+    A and B are 1-d (one row) or 2-d, finite and of one width, else
+    DataError (``data.as_rows``).  One object passed as both converts
+    once, so ``gram`` multiplies one array by its own transpose.
+    """
+    same = B is A
+    A = as_rows(A)
+    B = A if same else as_rows(B, A.shape[1])
     if spec.kind == "linear":
         return A @ B.T
     # in place, in the same order of operations as the textbook formula

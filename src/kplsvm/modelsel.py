@@ -241,11 +241,11 @@ def _run_cells(cells, scorer, kernel_kind, jobs=1):
     the dedupe key, the scorer's cache key and what ``train`` receives;
     each ``CellRecord`` keeps the cell's own taus and epsilons.  The
     distinct problems, in grid order, are scored through one map: for
-    RBF a pool of ``jobs`` threads, as l x l factorizations release the
-    interpreter lock; for linear, whose trains hold it, the builtin map
-    on this thread.  The first cell of a problem keeps its time; later
-    ones read 0.0 s.  A cell whose problem cannot be built (its loss,
-    C0 or RBF width) is recorded with its error.
+    RBF a pool of ``jobs`` threads, which overlap only in numpy products
+    (``kplsvm.blas``); for linear, whose trains hold the interpreter
+    lock, the builtin map on this thread.  The first cell of a problem
+    keeps its time; later ones read 0.0 s.  A cell whose problem cannot
+    be built (its loss, C0 or RBF width) is recorded with its error.
     """
     if jobs < 1:
         raise DataError(f"jobs must be >= 1, got {jobs}")

@@ -41,6 +41,7 @@ polish is kept only when it meets ``tol`` on them too.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -222,13 +223,18 @@ def solve(problem: QpProblem, tol: float = 1e-8,
     """Solve until every ``residuals`` entry is <= ``tol``; see QpSolution."""
     if not (np.isfinite(tol) and tol > 0):
         raise TrainingError(f"tol must be finite and positive, got {tol}")
-    if not max_iter >= 1:
-        raise TrainingError(f"max_iter must be at least 1, got {max_iter}")
+    check_max_iter(max_iter)
     z, nu, mu, obj, res, its, status = _interior_point(problem, tol, max_iter)
     polished = _crossover(problem, z, mu, tol)
     if polished is not None:
         (z, nu, mu, obj, res), status = polished, "optimal"
     return QpSolution(z, obj, res, its, status, nu, mu)
+
+
+def check_max_iter(n) -> None:
+    """TrainingError unless the iteration cap ``n`` is an integer >= 1."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise TrainingError(f"max_iter must be at least 1 (int), got {n!r}")
 
 
 def residuals(problem: QpProblem, z: np.ndarray, nu: np.ndarray,

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blas, kernels, loss, qp
-from .data import NormalizationTransform, fit_normalizer
-from .errors import DataError, TrainingError
+from .data import NormalizationTransform, as_rows, fit_normalizer
+from .errors import TrainingError
 from .kernels import KernelSpec
 from .loss import LossSpec
 
@@ -58,9 +58,7 @@ class TrainParams:
         if not (np.isfinite(self.qp_tol) and self.qp_tol > 0):
             raise TrainingError(
                 f"qp_tol must be finite and positive, got {self.qp_tol}")
-        if not self.max_iter >= 1:
-            raise TrainingError(
-                f"max_iter must be at least 1, got {self.max_iter}")
+        qp.check_max_iter(self.max_iter)
         if not 0 < self.active_threshold < 1:
             raise TrainingError("active_threshold must lie in (0, 1)")
         if self.loss.k < 2:
@@ -85,26 +83,16 @@ class TrainedModel:
     diagnostics: dict = field(default_factory=dict)
 
     def decision_function(self, X) -> np.ndarray:
-        """f(x) = sum_i beta_i k(x_i, x) + b for each row of X.
+        """f(x) = sum_i beta_i k(x_i, x) + b for each row of X, which passes
+        ``data.as_rows`` at the model's width (through its normalizer).
 
         Memory beyond X and f does not grow with the row count: a linear
         model scores through w = support_x' beta, derived on each call,
         and an RBF model fills f in row blocks of at most 2**18
         cross-Gram entries.
         """
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.ndim != 2:
-            raise DataError(f"expected 2-d sample array, got shape {X.shape}")
-        if not np.isfinite(X).all():
-            raise DataError("non-finite feature values")
-        if self.normalizer is not None:
-            X = self.normalizer.apply(X)
-        if X.shape[1] != self.support_x.shape[1]:
-            raise DataError(
-                f"model expects {self.support_x.shape[1]} features, "
-                f"got {X.shape[1]}")
+        X = (self.normalizer.apply(X) if self.normalizer is not None
+             else as_rows(X, self.support_x.shape[1]))
         if self.kernel.kind == "linear":
             return X @ (self.support_x.T @ self.beta) + self.bias
         rows = max(1, _PREDICT_BLOCK_ENTRIES // max(1, self.beta.size))

@@ -137,12 +137,36 @@ class TestNormalizer:
         tr = data.fit_normalizer(np.zeros((3, 2)) + [[0, 1], [1, 2], [2, 3]])
         with pytest.raises(DataError):
             tr.apply(np.zeros((1, 3)))
+        for X in (np.zeros(3), np.zeros((0, 3)), np.zeros((2, 1))):
+            with pytest.raises(DataError, match="expected 2 features"):
+                tr.apply(X)
 
     @pytest.mark.parametrize("shape", [(2, 3, 1), (2, 3, 3), (1, 2, 3)])
     def test_input_must_be_one_or_two_d(self, shape):
         tr = data.fit_normalizer(np.arange(6.0).reshape(2, 3))
         with pytest.raises(DataError):
             tr.apply(np.zeros(shape))
+        with pytest.raises(DataError, match="2-d"):
+            data.fit_normalizer(np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, value):
+        # a NaN once fitted NaN bounds, and apply passed inf through
+        X = np.array([[value, 1.0], [2.0, 3.0]])
+        with pytest.raises(DataError, match="non-finite"):
+            data.fit_normalizer(X)
+        tr = data.fit_normalizer(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        with pytest.raises(DataError, match="non-finite"):
+            tr.apply(X)
+        with pytest.raises(DataError, match="non-finite"):
+            tr.apply(X[0])
+
+    @pytest.mark.parametrize("X", [[1.0, 2.0, 3.0], np.zeros((0, 3))],
+                             ids=["1-d", "empty"])
+    def test_fit_needs_a_nonempty_2d_block(self, X):
+        # a 1-d X is one row elsewhere, but a fit needs a block of samples
+        with pytest.raises(DataError, match="nonempty 2-d"):
+            data.fit_normalizer(X)
 
     @pytest.mark.parametrize("shape, out_shape", [((0, 3), (0, 3)),
                                                   ((3,), (1, 3))])
@@ -151,6 +175,30 @@ class TestNormalizer:
         out = tr.apply(np.broadcast_to([1.5, 2.5, 3.5], shape))  # midpoints
         assert out.shape == out_shape
         assert (out == 0.0).all()
+
+
+class TestAsRows:
+    def test_one_d_is_one_row(self):
+        out = data.as_rows([1, 2, 3])
+        assert out.shape == (1, 3) and out.dtype == float
+
+    def test_float_block_is_not_copied(self):
+        X = np.ones((4, 2))
+        assert data.as_rows(X, 2) is X
+
+    @pytest.mark.parametrize("X, match", [
+        (np.zeros((2, 2, 2)), "expected 2-d sample array, got shape"),
+        (np.float64(1.0), "expected 2-d sample array, got shape"),
+        ([[1.0, np.nan]], "non-finite feature values"),
+        (np.zeros((3, 4)), "expected 2 features, got 4"),
+        (np.zeros(4), "expected 2 features, got 4"),
+    ], ids=["rank3", "scalar", "nan", "width", "1-d width"])
+    def test_rejects(self, X, match):
+        with pytest.raises(DataError, match=match):
+            data.as_rows(X, 2)
+
+    def test_empty_block_passes(self):
+        assert data.as_rows(np.zeros((0, 2)), 2).shape == (0, 2)
 
 
 class TestSplit:

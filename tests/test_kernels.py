@@ -50,6 +50,64 @@ def test_gram_symmetric_and_psd():
         assert w.min() >= -1e-9 * max(1.0, w.max())
 
 
+def test_gram_of_a_list_is_exactly_symmetric():
+    # numpy forms X X' as one symmetric update only when both operands
+    # are one array; X @ copy(X).T is asymmetric by ~1e-15 at 300 rows
+    X = np.random.default_rng(0).normal(size=(300, 5)).tolist()
+    for spec in (kernels.KernelSpec(), kernels.KernelSpec("rbf", q=2.0)):
+        G = kernels.gram(spec, X)
+        np.testing.assert_array_equal(G, G.T)
+
+
+SPECS = [kernels.KernelSpec(), kernels.KernelSpec(kind="rbf", q=0.7),
+         kernels.KernelSpec(kind="rbf", q=0.7, rbf_form="plain-distance")]
+SPEC_IDS = ["linear", "rbf-squared", "rbf-plain"]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+@pytest.mark.parametrize("bad, match", [
+    ([[np.nan, 1.0], [2.0, 3.0]], "non-finite"),
+    ([[np.inf, 0.0], [1.0, 2.0]], "non-finite"),
+    ([[1.0, -np.inf]], "non-finite"),
+    (np.zeros((2, 2, 1)), "2-d"),
+    (np.zeros((1, 2, 2)), "2-d"),
+], ids=["nan", "inf", "-inf", "rank3", "rank3-one-row"])
+def test_gram_rejects_bad_rows(spec, bad, match):
+    # a non-finite row once gave a NaN Gram matrix and a RuntimeWarning
+    with pytest.raises(DataError, match=match):
+        kernels.gram(spec, bad)
+    good = np.ones((2, 2))
+    with pytest.raises(DataError, match=match):
+        kernels.cross_gram(spec, bad, good)
+    with pytest.raises(DataError, match=match):
+        kernels.cross_gram(spec, good, bad)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+@pytest.mark.parametrize("A, B", [
+    (np.ones((2, 2)), np.ones((2, 3))),
+    ([1.0, 2.0], np.ones((3, 3))),
+    (np.ones((0, 2)), np.ones((1, 3))),
+], ids=["2-d", "1-d", "empty"])
+def test_cross_gram_width_must_match(spec, A, B):
+    with pytest.raises(DataError, match="expected 2 features, got 3"):
+        kernels.cross_gram(spec, A, B)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_one_d_is_one_row_and_empty_blocks_score(spec):
+    rng = np.random.default_rng(6)
+    A, B = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+    np.testing.assert_array_equal(kernels.cross_gram(spec, A[1], B),
+                                  kernels.cross_gram(spec, A[1:2], B))
+    np.testing.assert_array_equal(kernels.cross_gram(spec, A, B[2]),
+                                  kernels.cross_gram(spec, A, B[2:3]))
+    assert kernels.cross_gram(spec, np.zeros((0, 3)), B).shape == (0, 5)
+    assert kernels.cross_gram(spec, A, np.zeros((0, 3))).shape == (4, 0)
+    assert kernels.gram(spec, np.zeros((0, 3))).shape == (0, 0)
+    assert kernels.gram(spec, A[0]).shape == (1, 1)
+
+
 def test_cross_gram_consistent_with_kernel_value():
     rng = np.random.default_rng(3)
     A, B = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))

@@ -379,7 +379,8 @@ class TestCrossover:
 
 
 class TestInteriorPoint:
-    @pytest.mark.parametrize("max_iter", [0, -3])
+    @pytest.mark.parametrize("max_iter", [0, -3, float("inf"), 2.5,
+                                          np.float64(3.0)])
     def test_max_iter_below_one_rejected(self, max_iter):
         # as TrainParams does; the loop would run no iteration
         problem = toy_dual(loss.hinge(), [1.0, 1.0, -1.0, -1.0], [1.0] * 4)

@@ -122,11 +122,19 @@ class TestParamsValidation:
             with pytest.raises(TrainingError):
                 TrainParams(loss=loss.hinge(), c0=1.0, qp_tol=bad)
 
-    @pytest.mark.parametrize("bad", [0, -3])
+    @pytest.mark.parametrize("bad", [0, -3, float("inf"), 2.5,
+                                     np.float64(3.0)])
     def test_max_iter_at_least_one(self, bad):
-        # no iteration would leave the solver without an iterate to return
+        # no iteration would leave the solver without an iterate to return,
+        # and a float once reached range() as a bare TypeError
         with pytest.raises(TrainingError, match="max_iter"):
             TrainParams(loss=loss.hinge(), c0=1.0, max_iter=bad)
+
+    def test_numpy_integer_max_iter_trains(self):
+        X, y = blob_pair()
+        m = train(X, y, TrainParams(loss=loss.hinge(), c0=1.0,
+                                    max_iter=np.int64(50)))
+        assert m.diagnostics["qp_status"] == "optimal"
 
     def test_identity_only_loss_rejected(self):
         with pytest.raises(TrainingError):
@@ -462,6 +470,13 @@ class TestPredict:
         assert m.predict(np.zeros((0, 3))).shape == (0,)
         np.testing.assert_array_equal(m.decision_function(X[5]),
                                       m.decision_function(X[5:6]))
+        for bad, match in [(np.full((2, 3), np.nan), "non-finite"),
+                           (np.array([1.0, np.inf, 0.0]), "non-finite"),
+                           (np.zeros((2, 4)), "expected 3 features, got 4"),
+                           (np.zeros(2), "expected 3 features, got 2"),
+                           (np.zeros((0, 4)), "expected 3 features, got 4")]:
+            with pytest.raises(DataError, match=match):
+                m.decision_function(bad)
 
 
 def phi_at(scores_wo_b, spec, y, C, b):
