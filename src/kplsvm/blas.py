@@ -7,22 +7,19 @@ workers of the two pools contend for the same cores.  On a 2-vCPU
 machine one 3-piece train at l = 150 takes about 300 ms with the default
 pools and about 30 ms with one thread in each copy; one thread also wins
 at l = 400 and l = 800 for both kernels.  Parallelism belongs to the grid
-cells instead.  An RBF search trains its cells on ``jobs`` threads, which
-overlap only in numpy products: scipy's dpotrf and dlauum hold the
-interpreter lock (n = 1200, one BLAS thread: two threads of dpotrf took
-1.6-2.6x one thread's time, of ``@`` about 1x).  Linear cells run on the
-calling thread until both kernels get processes (ROADMAP Open item 6).
+cells instead, in processes (ROADMAP Open item 6): scipy's dpotrf and
+dlauum hold the interpreter lock, so a search trains every cell on the
+calling thread.
 
 The cap goes through ``openblas_set_num_threads_local``, the thread-count
 entry point every OpenBLAS copy exports without a build prefix.  It
 returns the previous count.  In pthreads builds (OpenBLAS 0.3.31 at
 least) it sets the count of the whole process, not of the calling thread,
-so overlapping caps from several threads (an RBF search's pool, or a
-library caller that trains on its own threads) are reference-counted: the
-first one in sets one thread and the last one out restores the saved
-counts.  Where no loaded OpenBLAS exports the entry point (MKL,
-Accelerate, an older OpenBLAS, a platform without ``/proc/self/maps``)
-the cap does nothing.
+so overlapping caps from a library caller that trains on its own threads
+are reference-counted: the first one in sets one thread and the last one
+out restores the saved counts.  Where no loaded OpenBLAS exports the
+entry point (MKL, Accelerate, an older OpenBLAS, a platform without
+``/proc/self/maps``) the cap does nothing.
 """
 
 from __future__ import annotations

@@ -111,8 +111,8 @@ def _add_search_flags(p):
                    choices=("cv", "holdout"))
     p.add_argument("--folds", type=_at_least(2), default=5)
     p.add_argument("--jobs", type=_at_least(1), default=os.cpu_count() or 1,
-                   help="threads for RBF grid cells; linear cells run "
-                   "in order on the calling thread")
+                   help="reserved for grid cells in worker processes; "
+                   "until then every cell trains on the calling thread")
     p.add_argument("--c0-grid", dest="c0_grid", default=None)
     p.add_argument("--q-grid", dest="q_grid", default=None)
     p.add_argument("--tau-grid", dest="tau_grid", default=None)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import itertools
+import numbers
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,6 +127,8 @@ def evaluate(model, X, y) -> float:
     y = np.asarray(y, dtype=float)
     if X.shape[0] == 0:
         raise DataError("cannot evaluate on an empty test set")
+    if y.ndim != 1:
+        raise DataError(f"labels must be a 1-d array, got shape {y.shape}")
     pred = model.predict(X)
     if pred.shape != y.shape:
         raise DataError(f"{y.size} labels for {pred.size} test rows")
@@ -154,8 +156,7 @@ class _Scorer:
     3-piece cell whose extra piece never tops the envelope vs. its
     2-piece twin) are one envelope-minimal training problem, so they
     share one criterion value, which makes the nested-family dominance
-    of the report exact.  The scorer holds no lock: ``_run_cells`` never
-    scores one problem on two threads at once.
+    of the report exact.
     """
 
     def __init__(self, dataset, criterion, folds):
@@ -233,22 +234,24 @@ def _error_text(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_cells(cells, scorer, kernel_kind, jobs=1):
+def _check_jobs(jobs):
+    """DataError unless ``jobs`` is an integer >= 1."""
+    if not (isinstance(jobs, numbers.Integral) and jobs >= 1):
+        raise DataError(f"jobs must be at least 1 (int), got {jobs!r}")
+
+
+def _run_cells(cells, scorer, kernel_kind):
     """Score (family, c0, q, taus, eps) cells; one record each, in order.
 
     Each cell is one frozen ``TrainParams``: its loss canonicalized once
     to the envelope-minimal spec, its C0 and its kernel.  That record is
     the dedupe key, the scorer's cache key and what ``train`` receives;
-    each ``CellRecord`` keeps the cell's own taus and epsilons.  The
-    distinct problems, in grid order, are scored through one map: for
-    RBF a pool of ``jobs`` threads, which overlap only in numpy products
-    (``kplsvm.blas``); for linear, whose trains hold the interpreter
-    lock, the builtin map on this thread.  The first cell of a problem
-    keeps its time; later ones read 0.0 s.  A cell whose problem cannot
-    be built (its loss, C0 or RBF width) is recorded with its error.
+    each ``CellRecord`` keeps the cell's own taus and epsilons.  All
+    problems are built first, then scored in grid order on this thread:
+    the first cell of a problem keeps its time, later ones read 0.0 s
+    from the scorer's cache.  A cell whose problem cannot be built (its
+    loss, C0 or RBF width) is recorded with its error.
     """
-    if jobs < 1:
-        raise DataError(f"jobs must be >= 1, got {jobs}")
     problems = []
     for _, c0, q, taus, eps in cells:
         try:
@@ -257,18 +260,10 @@ def _run_cells(cells, scorer, kernel_kind, jobs=1):
                 kernel=_kernel_for(kernel_kind, q)))
         except KplsvmError as exc:
             problems.append(_error_text(exc))
-    distinct = list(dict.fromkeys(
-        p for p in problems if not isinstance(p, str)))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        mapper = pool.map if kernel_kind == "rbf" else map
-        scored = dict(zip(distinct, mapper(scorer.score, distinct)))
     records = []
     for cell, params in zip(cells, problems):
-        if isinstance(params, str):
-            acc, err, dt = None, params, 0.0
-        else:
-            acc, err, dt = (scored.pop(params) if params in scored
-                            else scorer.score(params))
+        acc, err, dt = ((None, params, 0.0) if isinstance(params, str)
+                        else scorer.score(params))
         records.append(CellRecord(*cell, acc, dt, err))
     return records
 
@@ -294,9 +289,11 @@ def staged_search(dataset, kernel_kind="linear", grids=None,
     training problem once (see ``_Scorer``).  Cells that fail to train
     are recorded with their error and skipped by the arg-max.
 
-    RBF cells train on ``jobs`` >= 1 threads, linear cells on the
-    calling thread at every ``jobs`` (see ``_run_cells``).
+    Every cell trains in grid order on the calling thread.  ``jobs`` (an
+    integer >= 1) is reserved for grid cells in worker processes (ROADMAP
+    Open item 6) and changes nothing until then.
     """
+    _check_jobs(jobs)
     if kernel_kind not in ("linear", "rbf"):
         raise DataError(f"kernel_kind must be linear or rbf, got {kernel_kind!r}")
     if criterion not in ("cv", "holdout"):
@@ -317,7 +314,7 @@ def staged_search(dataset, kernel_kind="linear", grids=None,
 
     # Stage 1: hinge over (C0[, q]).
     stage1 = _run_cells(cells_for("hinge", grids.c0_grid, q_values),
-                        scorer, kernel_kind, jobs)
+                        scorer, kernel_kind)
     records.extend(stage1)
     best["hinge"] = _pick_best(stage1)
     if best["hinge"] is None:
@@ -327,7 +324,7 @@ def staged_search(dataset, kernel_kind="linear", grids=None,
     # Stage 2: richer families at the stage-1 pair.
     for family in FAMILIES[1:]:
         cells = _run_cells(cells_for(family, (chosen_c0,), (chosen_q,)),
-                           scorer, kernel_kind, jobs)
+                           scorer, kernel_kind)
         records.extend(cells)
         best[family] = _pick_best(cells)
     best[EXTERNAL_SLOT] = None
@@ -413,13 +410,13 @@ def _load_replay_table(path):
     return table
 
 
-def _replay_dataset(dataset, rows, kernel_kind, jobs=1):
+def _replay_dataset(dataset, rows, kernel_kind):
     """Score fixed tuples on the held-out split, in replay report shape.
 
     Each family's best is its last row in the table.
     """
     scorer = _Scorer(dataset, "holdout", folds=None)
-    records = _run_cells(rows, scorer, kernel_kind, jobs)
+    records = _run_cells(rows, scorer, kernel_kind)
     best = {rec.family: rec for rec in records}
     best[EXTERNAL_SLOT] = None
     return GridSearchReport(dataset=dataset.name, kernel_kind=kernel_kind,
@@ -435,7 +432,7 @@ def benchmark_run(manifest, outdir, grids=None, kernel_kind="linear",
     ``replay`` is a fixed-parameter table path; when given, the grid
     search is skipped and each listed tuple is trained directly, one
     training per canonical key as in the search (see ``_run_cells``).
-    ``jobs`` is the RBF thread count of a search or a replay.
+    ``jobs`` is reserved, as in ``staged_search``.
     ``include`` limits the run to the named manifest entries; a name the
     manifest lacks is a ``DataError``.  Missing or unreadable datasets
     produce a warning row and the run continues.  Returns
@@ -443,6 +440,7 @@ def benchmark_run(manifest, outdir, grids=None, kernel_kind="linear",
     With ``timing=False`` every time field is written as 0.000 so that
     repeated runs are byte-identical.
     """
+    _check_jobs(jobs)
     entries = load_manifest(manifest)
     absent = sorted(set(include or ()) - {entry.name for entry in entries})
     if absent:
@@ -469,7 +467,7 @@ def benchmark_run(manifest, outdir, grids=None, kernel_kind="linear",
                 warnings.append(f"{entry.name}: {msg}")
                 rows.append(_report_row(entry.name, "warning", msg))
                 continue
-            report = _replay_dataset(ds, fixed, kernel_kind, jobs)
+            report = _replay_dataset(ds, fixed, kernel_kind)
         else:
             report = staged_search(ds, kernel_kind=kernel_kind, grids=grids,
                                    criterion=criterion, folds=folds, jobs=jobs)

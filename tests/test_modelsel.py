@@ -3,7 +3,6 @@
 import collections
 import os
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -111,6 +110,12 @@ class TestEvaluate:
         # one label would broadcast against every row
         with pytest.raises(DataError, match=f"{n_labels} labels for 4"):
             evaluate(self._Const(1.0), np.zeros((4, 2)), np.ones(n_labels))
+
+    def test_labels_must_be_one_d(self):
+        # a 1-d X is one row, but a scalar label is not a label vector
+        X, y = np.zeros((4, 2)), np.ones(4)
+        with pytest.raises(DataError, match=r"1-d array, got shape \(\)"):
+            evaluate(self._Const(1.0), X[0], y[0])
 
     def test_holdout_score_is_evaluate(self, monkeypatch):
         # 100 * 23 / 320 is 7.1875 exactly; 100 * (23 / 320) is not
@@ -256,7 +261,8 @@ class TestStagedSearch:
         assert all(r.q == rep.chosen_q for r in stage2)
 
     def test_jobs_do_not_change_results(self):
-        # RBF cells train on jobs threads, linear cells on the caller's
+        # jobs is reserved and changes nothing today; this regains its
+        # meaning when grid cells run in worker processes (ROADMAP item 6)
         for kernel_kind in ("linear", "rbf"):
             a, b = (staged_search(blob_dataset(), kernel_kind, TINY,
                                   criterion="holdout", jobs=jobs)
@@ -275,8 +281,9 @@ class TestStagedSearch:
         with pytest.raises(DataError):
             staged_search(ds, "linear", TINY, folds=1)
         for kernel_kind in ("linear", "rbf"):
-            with pytest.raises(DataError, match="jobs"):
-                staged_search(ds, kernel_kind, TINY, jobs=0)
+            for jobs in (0, 1.5, "2"):
+                with pytest.raises(DataError, match="jobs"):
+                    staged_search(ds, kernel_kind, TINY, jobs=jobs)
         with pytest.raises(DataError):
             staged_search(Dataset(ds.X, ds.y), "linear", TINY)
 
@@ -287,28 +294,24 @@ class TestStagedSearch:
                             criterion="cv", folds=3)
         assert rep.criterion == "cv3"
 
-    def test_concurrent_duplicates_train_once(self, monkeypatch):
+    def test_duplicates_train_once(self, monkeypatch):
         real = modelsel.train
-        lock = threading.Lock()
 
-        def slow(X, y, params):
+        def counted(X, y, params):
             canon = loss.canonical(params.loss)
-            with lock:
-                trains[canon.taus, canon.epsilons, params.c0] += 1
-            time.sleep(0.05)    # keeps the key in flight for its twins
+            trains[canon.taus, canon.epsilons, params.c0] += 1
             return real(X, y, params)
 
-        monkeypatch.setattr(modelsel, "train", slow)
+        monkeypatch.setattr(modelsel, "train", counted)
         # each pair below canonicalizes to one training problem
         cells = [("hinge", 1.0, None, (0.0,), (0.0,)),
                  ("3pl", 1.0, None, (0.0, 0.0), (0.0, 0.0)),
                  ("3pl", 1.0, None, (0.4, -0.4), (0.5, 0.0)),
                  ("3pl", 1.0, None, (-0.4, 0.4), (0.0, 0.5))] * 3
-        # RBF cells train on a pool of jobs threads, linear ones serially
         for kernel_kind in ("rbf", "linear"):
             trains = collections.Counter()
             scorer = modelsel._Scorer(blob_dataset(), "holdout", folds=5)
-            records = modelsel._run_cells(cells, scorer, kernel_kind, jobs=2)
+            records = modelsel._run_cells(cells, scorer, kernel_kind)
             assert len(trains) == 2
             assert set(trains.values()) == {1}
             # the first cell of each key in grid order holds the time
@@ -316,6 +319,30 @@ class TestStagedSearch:
                     if r.time_s != 0.0] == [0, 2]
             assert records[0].accuracy == records[1].accuracy
             assert records[2].accuracy == records[3].accuracy
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rbf_cells_train_on_the_calling_thread(self, jobs, tmp_path,
+                                                   monkeypatch):
+        real = modelsel.train
+        threads = []
+
+        def recorded(X, y, params):
+            threads.append(threading.current_thread())
+            return real(X, y, params)
+
+        monkeypatch.setattr(modelsel, "train", recorded)
+        staged_search(blob_dataset(), "rbf", TINY, criterion="holdout",
+                      jobs=jobs)
+        searched = len(threads)
+        datasets.write_corpus(tmp_path, include={"monk3"})
+        rp = tmp_path / "replay.csv"
+        rp.write_text("dataset,family,c0,q,tau1,tau2,eps1,eps2\n"
+                      "monk3,hinge,1,2,,,,\n"
+                      "monk3,2pl,1,0.5,0.4,,0.5,\n", encoding="utf-8")
+        benchmark_run(tmp_path / "manifest.csv", tmp_path / "rep",
+                      kernel_kind="rbf", replay=rp, jobs=jobs, timing=False)
+        assert searched > 0 and len(threads) == searched + 2
+        assert set(threads) == {threading.current_thread()}
 
     def test_dominated_cell_shares_its_2pl_twins_key(self, monkeypatch):
         real = modelsel.train
@@ -433,6 +460,14 @@ class TestBenchmarkRun:
                           include={"monk3", "monk9", "haberman"})
         assert not (tmp_path / "rep" / "consolidated.csv").exists()
 
+    @pytest.mark.parametrize("jobs", [0, 1.5, "2"])
+    def test_bad_jobs_on_an_empty_manifest(self, jobs, tmp_path):
+        man = tmp_path / "manifest.csv"
+        man.write_text("name,path,format,n_train,seed\n", encoding="utf-8")
+        with pytest.raises(DataError, match="jobs"):
+            benchmark_run(man, tmp_path / "rep", grids=TINY, jobs=jobs)
+        assert not (tmp_path / "rep").exists()
+
     def test_empty_manifest_empty_report(self, tmp_path):
         man = tmp_path / "manifest.csv"
         man.write_text("name,path,format,n_train,seed\n", encoding="utf-8")
@@ -520,26 +555,8 @@ class TestBenchmarkRun:
         # each family's best is its last row, failed or not
         assert rep.best["pinball"] is pinball and rep.best["3pl"] is three
 
-    def test_rbf_replay_trains_on_jobs_threads(self, corpus, tmp_path,
-                                               monkeypatch):
-        real = modelsel.ThreadPoolExecutor
-        workers = []
-
-        def recorded(max_workers):
-            workers.append(max_workers)
-            return real(max_workers=max_workers)
-
-        monkeypatch.setattr(modelsel, "ThreadPoolExecutor", recorded)
-        rp = tmp_path / "replay.csv"
-        rp.write_text("dataset,family,c0,q,tau1,tau2,eps1,eps2\n"
-                      "monk3,hinge,1,2,,,,\n", encoding="utf-8")
-        benchmark_run(corpus / "manifest.csv", tmp_path / "rep",
-                      kernel_kind="rbf", replay=rp, jobs=2, timing=False)
-        assert workers == [2]
-
     def test_replay_trains_each_canonical_key_once(self, monkeypatch):
         real = modelsel.train
-        calls = []
 
         def counted(X, y, params):
             calls.append(params)
@@ -549,8 +566,11 @@ class TestBenchmarkRun:
         # the pinball loss at tau = 0 is the hinge loss
         rows = [("hinge", 1.0, None, (0.0,), (0.0,)),
                 ("pinball", 1.0, None, (0.0,), (0.0,))]
-        rep = modelsel._replay_dataset(blob_dataset(), rows, "linear")
-        assert len(calls) == 1
-        hinge, pinball = rep.records
-        assert pinball.accuracy == hinge.accuracy
-        assert pinball.time_s == 0.0
+        for kernel_kind in ("linear", "rbf"):
+            calls = []
+            rep = modelsel._replay_dataset(blob_dataset(), rows, kernel_kind)
+            assert len(calls) == 1
+            assert calls[0].kernel.kind == kernel_kind
+            hinge, pinball = rep.records
+            assert pinball.accuracy == hinge.accuracy
+            assert pinball.time_s == 0.0

@@ -87,8 +87,9 @@ class TestBlasThreadCap:
         with ThreadPoolExecutor(max_workers=1) as pool:
             pool.submit(train, X, y, params).result(timeout=60)
         assert blas.thread_counts() == two_threads
-        # overlapping trains, as an RBF search with jobs > 1 runs them: every
-        # solve still sees one thread and the last one out restores
+        # overlapping trains, as a library caller that trains on its own
+        # threads: every solve still sees one thread and the last one out
+        # restores
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
