@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_integer
 
 __all__ = [
     "Dataset",
@@ -260,14 +260,14 @@ def split_dataset(dataset: Dataset, n_train: int, seed: int | None = 0,
     otherwise rows are permuted by a seeded generator first.
     """
     l = len(dataset)
-    if not 0 < n_train < l:
+    check_integer(n_train, 1, DataError, f"n_train must be in (0, {l})")
+    if n_train >= l:
         raise DataError(f"n_train must be in (0, {l}), got {n_train}")
     if predefined:
         idx = np.arange(l)
     else:
         seed = default_seed() if seed is None else seed
-        if seed < 0:
-            raise DataError(f"split seed must be non-negative, got {seed}")
+        check_integer(seed, 0, DataError, "split seed must be non-negative")
         idx = np.random.default_rng(seed).permutation(l)
     return idx[:n_train], idx[n_train:]
 

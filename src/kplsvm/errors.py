@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument rule."""
+
+import numbers
 
 
 class KplsvmError(Exception):
@@ -27,8 +29,17 @@ class InfeasibleError(KplsvmError):
 
 
 class SolverError(KplsvmError):
-    """The QP solver failed to produce a usable solution."""
+    """The QP could not be set up for a solve: ``qp.gram_factor`` found
+    no jitter that makes the Gram matrix positive definite."""
 
 
 class TrainingError(KplsvmError):
     """Training preconditions violated or training-time verification failed."""
+
+
+def check_integer(value, lo: int, error: type, message: str) -> None:
+    """The one rule for an integer argument: ``error(f"{message}, got
+    {value!r}")`` unless ``value`` is a Python or numpy integer >= ``lo``
+    (a float or a string that holds one is not)."""
+    if not (isinstance(value, numbers.Integral) and value >= lo):
+        raise error(f"{message}, got {value!r}")

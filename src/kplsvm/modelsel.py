@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, open_text
 from .datasets import load_manifest, resolve_split
-from .errors import DataError, KplsvmError
+from .errors import DataError, KplsvmError, check_integer
 from .kernels import KernelSpec
 from .loss import LossSpec, canonical
 from .trainer import TrainParams, train
@@ -214,8 +213,6 @@ def _family_params(family, grids):
     The free slots nest in ``FAMILY_PARAMS`` order (for the 3-piece
     loss tau1, then tau2, eps1, eps2).
     """
-    if family not in FAMILY_PARAMS:
-        raise DataError(f"unknown family {family!r}")
     free = FAMILY_PARAMS[family]
     axes = [grids.tau_grid if s.startswith("tau") else grids.eps_grid
             for s in free]
@@ -234,36 +231,29 @@ def _error_text(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def _check_jobs(jobs):
-    """DataError unless ``jobs`` is an integer >= 1."""
-    if not (isinstance(jobs, numbers.Integral) and jobs >= 1):
-        raise DataError(f"jobs must be at least 1 (int), got {jobs!r}")
-
-
 def _run_cells(cells, scorer, kernel_kind):
     """Score (family, c0, q, taus, eps) cells; one record each, in order.
 
-    Each cell is one frozen ``TrainParams``: its loss canonicalized once
-    to the envelope-minimal spec, its C0 and its kernel.  That record is
-    the dedupe key, the scorer's cache key and what ``train`` receives;
-    each ``CellRecord`` keeps the cell's own taus and epsilons.  All
-    problems are built first, then scored in grid order on this thread:
-    the first cell of a problem keeps its time, later ones read 0.0 s
-    from the scorer's cache.  A cell whose problem cannot be built (its
-    loss, C0 or RBF width) is recorded with its error.
+    Each cell becomes one frozen ``TrainParams`` (its loss canonicalized
+    once to the envelope-minimal spec, its C0 and its kernel) and is
+    scored at once, in grid order on this thread.  That record is the
+    scorer's cache key and what ``train`` receives; each ``CellRecord``
+    keeps the cell's own taus and epsilons.  The first cell of a problem
+    keeps its time, later ones read 0.0 s from the scorer's cache.  A
+    cell whose problem cannot be built (its loss, C0 or RBF width) is
+    recorded with its error.
     """
-    problems = []
-    for _, c0, q, taus, eps in cells:
-        try:
-            problems.append(TrainParams(
-                loss=canonical(LossSpec(taus=taus, epsilons=eps)), c0=c0,
-                kernel=_kernel_for(kernel_kind, q)))
-        except KplsvmError as exc:
-            problems.append(_error_text(exc))
     records = []
-    for cell, params in zip(cells, problems):
-        acc, err, dt = ((None, params, 0.0) if isinstance(params, str)
-                        else scorer.score(params))
+    for cell in cells:
+        _, c0, q, taus, eps = cell
+        try:
+            params = TrainParams(
+                loss=canonical(LossSpec(taus=taus, epsilons=eps)), c0=c0,
+                kernel=_kernel_for(kernel_kind, q))
+        except KplsvmError as exc:
+            acc, err, dt = None, _error_text(exc), 0.0
+        else:
+            acc, err, dt = scorer.score(params)
         records.append(CellRecord(*cell, acc, dt, err))
     return records
 
@@ -293,13 +283,12 @@ def staged_search(dataset, kernel_kind="linear", grids=None,
     integer >= 1) is reserved for grid cells in worker processes (ROADMAP
     Open item 6) and changes nothing until then.
     """
-    _check_jobs(jobs)
+    check_integer(jobs, 1, DataError, "jobs must be at least 1 (int)")
     if kernel_kind not in ("linear", "rbf"):
         raise DataError(f"kernel_kind must be linear or rbf, got {kernel_kind!r}")
     if criterion not in ("cv", "holdout"):
         raise DataError(f"unknown criterion {criterion!r}")
-    if folds < 2:
-        raise DataError("folds must be >= 2")
+    check_integer(folds, 2, DataError, "folds must be >= 2")
     grids = grids or GridSpec()
     scorer = _Scorer(dataset, criterion, folds)
     crit_label = "holdout" if criterion == "holdout" else f"cv{folds}"
@@ -440,7 +429,7 @@ def benchmark_run(manifest, outdir, grids=None, kernel_kind="linear",
     With ``timing=False`` every time field is written as 0.000 so that
     repeated runs are byte-identical.
     """
-    _check_jobs(jobs)
+    check_integer(jobs, 1, DataError, "jobs must be at least 1 (int)")
     entries = load_manifest(manifest)
     absent = sorted(set(include or ()) - {entry.name for entry in entries})
     if absent:

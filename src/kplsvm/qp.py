@@ -41,7 +41,6 @@ polish is kept only when it meets ``tol`` on them too.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,7 +48,8 @@ import numpy as np
 import scipy.linalg
 
 from . import loss
-from .errors import InfeasibleError, TrainingError
+from .errors import (InfeasibleError, SolverError, TrainingError,
+                     check_integer)
 from .loss import LossSpec
 
 __all__ = [
@@ -152,6 +152,10 @@ def gram_factor(G: np.ndarray) -> np.ndarray:
     one.  The dual then uses H + delta*I in every view (objective,
     residuals, Newton system), so the jitter never biases a Newton
     direction against the residuals being measured.
+
+    delta starts at 1e-12 * max(trace(G)/l, 1e-8) and grows 100-fold
+    while dpotrf fails; no kernel's Gram matrix measured has needed a
+    second try.  SolverError if the eighth fails: G is far from PSD.
     """
     l = G.shape[0]
     scale = max(np.trace(G) / l, 1e-8)
@@ -166,7 +170,7 @@ def gram_factor(G: np.ndarray) -> np.ndarray:
         if info == 0:
             return U.T
         delta *= 100.0
-    raise InfeasibleError("Gram matrix is not positive semidefinite")
+    raise SolverError("Gram matrix is not positive semidefinite")
 
 
 def assemble_dual(
@@ -223,18 +227,13 @@ def solve(problem: QpProblem, tol: float = 1e-8,
     """Solve until every ``residuals`` entry is <= ``tol``; see QpSolution."""
     if not (np.isfinite(tol) and tol > 0):
         raise TrainingError(f"tol must be finite and positive, got {tol}")
-    check_max_iter(max_iter)
+    check_integer(max_iter, 1, TrainingError,
+                  "max_iter must be at least 1 (int)")
     z, nu, mu, obj, res, its, status = _interior_point(problem, tol, max_iter)
     polished = _crossover(problem, z, mu, tol)
     if polished is not None:
         (z, nu, mu, obj, res), status = polished, "optimal"
     return QpSolution(z, obj, res, its, status, nu, mu)
-
-
-def check_max_iter(n) -> None:
-    """TrainingError unless the iteration cap ``n`` is an integer >= 1."""
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise TrainingError(f"max_iter must be at least 1 (int), got {n!r}")
 
 
 def residuals(problem: QpProblem, z: np.ndarray, nu: np.ndarray,
@@ -331,9 +330,6 @@ def _interior_point(problem: QpProblem, tol: float, max_iter: int):
         eta = min(0.99995, max(0.99, 1.0 - gap / (1.0 + abs(obj))))
         ap = eta * _max_step(z, dz)
         ad = eta * _max_step(mu, dmu)
-        if max(ap, ad) < 1e-13:
-            status = "numerical_failure"
-            break
         z = z + ap * dz
         nu = nu + ad * dnu
         mu = mu + ad * dmu

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import blas, kernels, loss, qp
 from .data import NormalizationTransform, as_rows, fit_normalizer
-from .errors import TrainingError
+from .errors import TrainingError, check_integer
 from .kernels import KernelSpec
 from .loss import LossSpec
 
@@ -58,7 +58,8 @@ class TrainParams:
         if not (np.isfinite(self.qp_tol) and self.qp_tol > 0):
             raise TrainingError(
                 f"qp_tol must be finite and positive, got {self.qp_tol}")
-        qp.check_max_iter(self.max_iter)
+        check_integer(self.max_iter, 1, TrainingError,
+                      "max_iter must be at least 1 (int)")
         if not 0 < self.active_threshold < 1:
             raise TrainingError("active_threshold must lie in (0, 1)")
         if self.loss.k < 2:

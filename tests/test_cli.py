@@ -8,11 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from kplsvm import cli, model_io
+from kplsvm import cli, model_io, modelsel, qp
 from kplsvm.data import load_csv
-from kplsvm.errors import DataError
+from kplsvm.errors import DataError, TrainingError
 from kplsvm.kernels import KernelSpec
-from kplsvm.loss import LossSpec
+from kplsvm.loss import LossSpec, canonical
 from kplsvm.modelsel import evaluate
 from kplsvm.trainer import TrainParams, train
 
@@ -173,6 +173,19 @@ class TestTrainCommand:
         test_acc = float(text.split("test accuracy:")[1].strip())
         assert abs(test_acc - 88.889) <= 2.0
         assert out.exists()
+
+    def test_unfactorable_gram_is_a_solver_error(self, monk3_files,
+                                                 tmp_path, capsys,
+                                                 monkeypatch):
+        # dpotrf fails at every jitter, so gram_factor gives up
+        monkeypatch.setattr(qp, "_potrf", lambda a, **kwargs: (a, 1))
+        code = cli.main(["train", "--data", str(monk3_files["train"]),
+                         "--kernel", "rbf", "--c0", "1", "--taus", "0.4",
+                         "--epsilons", "0.5",
+                         "--out", str(tmp_path / "m.model")])
+        assert code == cli.EXIT_SOLVER == 4
+        assert "solver error: Gram matrix is not positive semidefinite" \
+            in capsys.readouterr().err
 
     def test_empty_loss_rejected(self, monk3_files, tmp_path):
         code = cli.main(["train", "--data", str(monk3_files["train"]),
@@ -410,6 +423,32 @@ class TestGridSearchCommand:
             assert f"{family}: accuracy" in text
         header = records.read_text(encoding="utf-8").splitlines()[0]
         assert header.startswith("dataset,family,accuracy,time_s,c0,q")
+
+    def test_failed_families_and_cells_are_reported(self, monk3_files,
+                                                    capsys, monkeypatch):
+        # only the hinge problem trains; every stage-2 cell fails
+        real = modelsel.train
+        hinge = canonical(LossSpec((0.0,), (0.0,)))
+
+        def hinge_only(X, y, params):
+            if params.loss != hinge:
+                raise TrainingError("refused")
+            return real(X, y, params)
+
+        monkeypatch.setattr(modelsel, "train", hinge_only)
+        code = cli.main(["grid-search", "--data",
+                         str(monk3_files["corpus"] / "monk3.csv"),
+                         "--n-train", "122", "--seed", "3", "--folds", "3",
+                         "--jobs", "1", "--c0-grid", "0.125,1",
+                         "--tau-grid", "-0.4,0.4", "--eps-grid", "0.5"])
+        assert code == 0
+        text = capsys.readouterr().out
+        assert "stage 1: C0 =" in text and "[cv3]" in text
+        assert "hinge: accuracy" in text
+        for family in ("pinball", "2pl", "3pl"):
+            assert f"{family}: no successful cell" in text
+        # 2 hinge cells, then 2 pinball, 2 two-piece and 4 three-piece
+        assert "failed cells: 8 / 10" in text
 
     def test_seed_env_override(self, monk3_files, tmp_path, capsys,
                                monkeypatch):

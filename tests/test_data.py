@@ -67,6 +67,19 @@ class TestCsvLoader:
             data.load_csv(p)
 
 
+    @pytest.mark.parametrize("name, text, kwargs, match", [
+        ("t.csv", "\n  \n", {}, "empty file"),
+        ("t.csv", "1,0.5\n0,0.25\n", {"label_col": 2},
+         "label column 2 out of range for width 2"),
+        ("t.svm", "# only a comment\n\n", {"fmt": "libsvm"}, "empty file"),
+    ])
+    def test_file_without_rows_or_label_column(self, tmp_path, name, text,
+                                               kwargs, match):
+        p = write(tmp_path, name, text)
+        with pytest.raises(DataError, match=match):
+            data.load_dataset(p, **kwargs)
+
+
 class TestLibsvmLoader:
     def test_sparse_to_dense(self, tmp_path):
         p = write(tmp_path, "t.svm", "1 1:0.5 3:2\n-1 2:1\n")
@@ -218,7 +231,8 @@ class TestSplit:
         a = data.split_dataset(ds, 150, seed=5)
         b = data.split_dataset(ds, 150, seed=5)
         c = data.split_dataset(ds, 150, seed=6)
-        assert a[0].tolist() == b[0].tolist()
+        d = data.split_dataset(ds, np.int64(150), seed=np.uint8(5))
+        assert a[0].tolist() == b[0].tolist() == d[0].tolist()
         assert a[0].tolist() != c[0].tolist()
 
     def test_predefined_is_file_order(self):
@@ -231,6 +245,17 @@ class TestSplit:
             data.split_dataset(self.make(10), 10)
         with pytest.raises(DataError):
             data.split_dataset(self.make(10), 0)
+
+    @pytest.mark.parametrize("n_train, seed, match", [
+        (10.5, 0, "n_train"),
+        ("10", 0, "n_train"),
+        (np.float64(10.0), 0, "n_train"),
+        (10, 1.5, "seed"),
+        (10, "1", "seed"),
+    ])
+    def test_integer_arguments(self, n_train, seed, match):
+        with pytest.raises(DataError, match=match):
+            data.split_dataset(self.make(), n_train, seed=seed)
 
     def test_env_seed_override(self, monkeypatch):
         ds = self.make()
@@ -317,6 +342,14 @@ class TestMonkGeneration:
         # test block is always rule-true
         assert (datasets.monk_labels(which, Xte) == yte).all()
 
+    @pytest.mark.parametrize("make", [
+        lambda: datasets.monk_labels(4, datasets.monk_grid()),
+        lambda: datasets.make_monk(0),
+    ], ids=["monk_labels", "make_monk"])
+    def test_unknown_problem(self, make):
+        with pytest.raises(DataError, match="unknown Monk problem"):
+            make()
+
     def test_seed_changes_draw(self):
         a = datasets.make_monk(1, seed=0)[0]
         b = datasets.make_monk(1, seed=1)[0]
@@ -368,9 +401,12 @@ class TestCorpus:
 
     def test_manifest_errors(self, tmp_path):
         p = tmp_path / "m.csv"
-        p.write_text("name,path,format,n_train,seed\na,b.csv,csv,x,\n")
-        with pytest.raises(DataError, match="n_train"):
-            datasets.load_manifest(p)
+        for row, match in [("a,b.csv,csv,x,", "bad n_train"),
+                           ("a,b.csv,csv,10,x", "bad seed"),
+                           ("a,b.csv,csv,10", "expected 5 fields, got 4")]:
+            p.write_text(f"name,path,format,n_train,seed\n{row}\n")
+            with pytest.raises(DataError, match=f":1: {match}"):
+                datasets.load_manifest(p)
 
     def test_split_indices_validated(self):
         X = np.zeros((4, 1))
@@ -379,3 +415,17 @@ class TestCorpus:
             data.Dataset(X, y, split=([0, 1], [1, 2]))
         with pytest.raises(DataError):
             data.Dataset(X, y, split=([0], [9]))
+        with pytest.raises(DataError, match="train indices"):
+            data.Dataset(X, y, split=([0, 4], [1]))
+
+    @pytest.mark.parametrize("X, y, match", [
+        (np.zeros(4), [1.0, -1.0, 1.0, -1.0], "2-d"),
+        (np.zeros((4, 1)), [[1.0, -1.0, 1.0, -1.0]], "2-d"),
+        (np.zeros((3, 1)), [1.0, -1.0, 1.0, -1.0], "row counts"),
+        ([[0.0], [np.inf], [1.0], [2.0]], [1.0, -1.0, 1.0, -1.0],
+         "non-finite"),
+        (np.zeros((4, 1)), [1.0, 0.0, 1.0, 0.0], "labels must be"),
+    ])
+    def test_dataset_arrays_validated(self, X, y, match):
+        with pytest.raises(DataError, match=match):
+            data.Dataset(X, y)

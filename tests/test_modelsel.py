@@ -278,8 +278,9 @@ class TestStagedSearch:
             staged_search(ds, "poly", TINY)
         with pytest.raises(DataError):
             staged_search(ds, "linear", TINY, criterion="bootstrap")
-        with pytest.raises(DataError):
-            staged_search(ds, "linear", TINY, folds=1)
+        for folds in (1, "3", 2.5, None):
+            with pytest.raises(DataError, match="folds"):
+                staged_search(ds, "linear", TINY, folds=folds)
         for kernel_kind in ("linear", "rbf"):
             for jobs in (0, 1.5, "2"):
                 with pytest.raises(DataError, match="jobs"):
@@ -287,12 +288,23 @@ class TestStagedSearch:
         with pytest.raises(DataError):
             staged_search(Dataset(ds.X, ds.y), "linear", TINY)
 
+    def test_empty_validation_split_is_a_cell_error(self):
+        # holdout on a split with no test rows scores nothing
+        ds = blob_dataset()
+        scorer = modelsel._Scorer(
+            Dataset(ds.X, ds.y, split=(np.arange(len(ds)), [])),
+            "holdout", folds=None)
+        acc, err, _ = scorer.score(TrainParams(loss=loss.hinge(), c0=1.0))
+        assert acc is None
+        assert err == "DataError: no validation samples in any split"
+
     def test_cv_label_carries_fold_count(self):
-        rep = staged_search(blob_dataset(), "linear",
-                            GridSpec(c0_grid=(1.0,), q_grid=(1.0,),
-                                     tau_grid=(0.0,), eps_grid=(0.0,)),
-                            criterion="cv", folds=3)
-        assert rep.criterion == "cv3"
+        for folds in (3, np.int64(3)):      # a numpy integer is an integer
+            rep = staged_search(blob_dataset(), "linear",
+                                GridSpec(c0_grid=(1.0,), q_grid=(1.0,),
+                                         tau_grid=(0.0,), eps_grid=(0.0,)),
+                                criterion="cv", folds=folds)
+            assert rep.criterion == "cv3"
 
     def test_duplicates_train_once(self, monkeypatch):
         real = modelsel.train
@@ -396,11 +408,13 @@ class TestStagedSearch:
                  ("3pl", 1.0, None, (-0.4, 0.4), (0.0, 0.5)),
                  ("3pl", 1.0, None, (0.0, 0.0), (1.0, 1.0))]
         records = modelsel._run_cells(cells, scorer, "linear")
-        # once per cell in the search, then once more per trained key
-        # inside train, where the canonical spec maps to itself
-        assert calls[:len(cells)] == [
-            loss.LossSpec(taus, eps) for _, _, _, taus, eps in cells]
-        assert calls[len(cells):] == [real(calls[0]), real(calls[2])]
+        # once per cell in the search, and each cell is scored before the
+        # next is built: a new key trains at once and canonicalizes once
+        # more inside train, where the canonical spec maps to itself; the
+        # second cell's key is the first's, so it reads the cache
+        specs = [loss.LossSpec(taus, eps) for _, _, _, taus, eps in cells]
+        assert calls == [specs[0], real(specs[0]), specs[1],
+                         specs[2], real(specs[2])]
         # each record keeps its cell's own parameters
         assert [(r.taus, r.epsilons) for r in records] == [
             (taus, eps) for _, _, _, taus, eps in cells]
@@ -459,6 +473,15 @@ class TestBenchmarkRun:
                           grids=TINY, criterion="holdout", timing=False,
                           include={"monk3", "monk9", "haberman"})
         assert not (tmp_path / "rep" / "consolidated.csv").exists()
+
+    def test_include_limits_the_run(self, corpus, tmp_path):
+        out = benchmark_run(corpus / "manifest.csv", tmp_path / "rep",
+                            grids=TINY, criterion="holdout", timing=False,
+                            include={"fertility"})
+        assert set(out["datasets"]) == {"fertility"}
+        with open(out["consolidated"], encoding="utf-8") as fh:
+            names = {r.split(",")[0] for r in fh.read().splitlines()[1:]}
+        assert names == {"fertility"}
 
     @pytest.mark.parametrize("jobs", [0, 1.5, "2"])
     def test_bad_jobs_on_an_empty_manifest(self, jobs, tmp_path):
@@ -534,6 +557,12 @@ class TestBenchmarkRun:
                        "monk3,3pl,1,,0.4\n", encoding="utf-8")
         with pytest.raises(DataError, match=r":2: 3pl needs tau2, eps1, eps2"):
             modelsel._load_replay_table(rp3)
+        rp4 = tmp_path / "bad4.csv"
+        rp4.write_text("dataset,family,c0,q,tau1,tau2,eps1,eps2\n"
+                       "monk3,hinge,1,,,,,\n"
+                       "monk3,pinball,one,,0.4,,,\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r":3: bad number"):
+            modelsel._load_replay_table(rp4)
 
     def test_replay_records_failed_rows_and_goes_on(self, tmp_path):
         rp = tmp_path / "replay.csv"

@@ -4,7 +4,7 @@ import scipy.optimize
 
 from kplsvm import kernels, loss, qp, trainer
 from kplsvm.data import fit_normalizer
-from kplsvm.errors import InfeasibleError, TrainingError
+from kplsvm.errors import InfeasibleError, SolverError, TrainingError
 
 
 def dense_qa(problem):
@@ -104,6 +104,17 @@ class TestStructuredAssembly:
         with pytest.raises(InfeasibleError) as err:
             toy_dual(loss.pinball(-0.5), y=[1, 1, 1, -1], C=[10, 10, 10, 1])
         assert err.value.certificate > 0
+
+    @pytest.mark.parametrize("W, C, match", [
+        (np.ones((3, 2)), [1.0] * 4, "inconsistent"),      # W rows
+        (np.ones(4), [1.0] * 4, "inconsistent"),           # W 1-d
+        (np.ones((4, 2)), [1.0] * 3, "inconsistent"),      # C size
+        (np.ones((4, 2)), [1.0, 1.0, 0.0, 1.0], "positive"),
+        (np.ones((4, 2)), [1.0, -2.0, 1.0, 1.0], "positive"),
+    ])
+    def test_malformed_inputs_raise(self, W, C, match):
+        with pytest.raises(ValueError, match=match):
+            qp.assemble_dual(W, [1.0, -1.0, 1.0, -1.0], C, loss.hinge())
 
     def test_matrix_free_operators_match_dense(self):
         rng = np.random.default_rng(5)
@@ -213,6 +224,46 @@ class TestTriangularFactor:
         trainer.train(X, y, trainer.TrainParams(
             loss=spec, c0=1.0, kernel=kernels.KernelSpec("rbf")))
         assert len(calls) >= 1
+
+
+class TestGramFactor:
+    @pytest.fixture
+    def potrf_infos(self, monkeypatch):
+        """The info of each dpotrf call ``gram_factor`` makes."""
+        infos, real = [], qp._potrf
+
+        def counted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            infos.append(out[1])
+            return out
+
+        monkeypatch.setattr(qp, "_potrf", counted)
+        return infos
+
+    def test_slightly_indefinite_matrix_needs_one_escalation(self,
+                                                             potrf_infos):
+        # one eigenvalue at -1e-11 trace/l: the first jitter, 1e-12 trace/l,
+        # leaves it negative, and the second, 1e-10 trace/l, lifts it
+        rng = np.random.default_rng(0)
+        l = 40
+        Q, _ = np.linalg.qr(rng.normal(size=(l, l)))
+        lam = rng.uniform(1.0, 2.0, size=l)
+        lam[0] = -1e-11 * lam[1:].sum() / l
+        G = (Q * lam) @ Q.T
+        G = (G + G.T) / 2
+        L = qp.gram_factor(G)
+        assert len(potrf_infos) == 2
+        assert potrf_infos[0] > 0 and potrf_infos[1] == 0
+        assert not np.triu(L, 1).any()
+        delta = 1e-10 * np.trace(G) / l
+        np.testing.assert_allclose(L @ L.T, G + delta * np.eye(l),
+                                   rtol=0, atol=1e-12)
+
+    def test_matrix_far_from_psd_is_a_solver_error(self, potrf_infos):
+        # negative trace: no jitter up to 100 * 1e-8 factors -I
+        with pytest.raises(SolverError, match="not positive semidefinite"):
+            qp.gram_factor(-np.eye(4))
+        assert len(potrf_infos) == 8 and min(potrf_infos) > 0
 
 
 class TestCholesky:
@@ -376,6 +427,27 @@ class TestCrossover:
         assert max(res.values()) <= 1e-8
         assert_kkt_certificate(
             problem, qp.QpSolution(z, obj, res, 0, "optimal", nu, mu))
+
+
+    def test_more_than_6000_free_coordinates_are_not_polished(self,
+                                                              monkeypatch):
+        # a thin problem with l = 3,001 and k = 3, every coordinate free:
+        # the reduced dimension p = k*l - l = 6,002 is over the guard, so
+        # the polish gives up before its first face solve
+        rng = np.random.default_rng(0)
+        l = 3001
+        y = np.where(np.arange(l) % 2, 1.0, -1.0)
+        problem = qp.assemble_dual(
+            rng.normal(size=(l, 3)) * y[:, None], y, np.ones(l),
+            loss.LossSpec(taus=(0.3, -0.6), epsilons=(1.0, -0.5)))
+        assert problem.k == 3
+
+        def no_face(problem, free):
+            raise AssertionError("a face was solved")
+
+        monkeypatch.setattr(qp, "_solve_face", no_face)
+        z = np.full(problem.n, 1.0 / problem.k)
+        assert qp._crossover(problem, z, np.zeros(problem.n), 1e-8) is None
 
 
 class TestInteriorPoint:

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -104,6 +105,48 @@ class TestBlasThreadCap:
         assert blas.thread_counts() == two_threads
 
 
+class TestBlasFallback:
+    """Where no loaded OpenBLAS exports the entry point, the cap does
+    nothing: training and the thread counts still work."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_setters(self):
+        blas._setters.cache_clear()
+        yield
+        blas._setters.cache_clear()
+
+    def check_no_cap(self):
+        assert blas._setters() == ()
+        assert blas.thread_counts() == []
+        X, y = blob_pair()
+        train(X, y, TrainParams(loss=loss.hinge(), c0=1.0))
+
+    def test_unreadable_process_maps(self, monkeypatch):
+        def unreadable(path, *args, **kwargs):
+            raise PermissionError(f"cannot open {path}")
+
+        monkeypatch.setattr(blas, "open", unreadable, raising=False)
+        self.check_no_cap()
+
+    def test_copies_without_the_entry_point_are_skipped(self, monkeypatch):
+        maps = ("7f00-7f10 r-xp 0 08:01 11 /lib/libopenblas.so.0\n"
+                "7f20-7f30 r-xp 0 08:01 12 /lib/libmkl_blas.so\n"
+                "7f40-7f50 r-xp 0 08:01 13 /lib/libc.so.6\n")
+        monkeypatch.setattr(blas, "open", lambda path: io.StringIO(maps),
+                            raising=False)
+        opened = []
+
+        def cdll(path, mode=0):
+            opened.append(path)
+            if "mkl" in path:
+                raise OSError(f"{path}: cannot load")
+            return object()     # no openblas_set_num_threads_local
+
+        monkeypatch.setattr(blas.ctypes, "CDLL", cdll)
+        self.check_no_cap()
+        assert opened == ["/lib/libmkl_blas.so", "/lib/libopenblas.so.0"]
+
+
 class TestParamsValidation:
     def test_c0_must_be_positive(self):
         with pytest.raises(TrainingError):
@@ -155,6 +198,16 @@ class TestTrainBasics:
         s = m.decision_function(np.array([[-0.5], [0.5]]))
         assert s[0] == pytest.approx(-s[1], abs=1e-9)
         assert s[0] < 0 < s[1]
+
+    @pytest.mark.parametrize("X, y, match", [
+        (np.zeros(4), [1.0, -1.0, 1.0, -1.0], "must be \\(l, n\\)"),
+        (np.zeros((4, 1)), [[1.0, -1.0, 1.0, -1.0]], "must be \\(l, n\\)"),
+        (np.zeros((3, 1)), [1.0, -1.0, 1.0, -1.0], "must be \\(l, n\\)"),
+        (np.zeros((1, 1)), [1.0], "at least two"),
+    ])
+    def test_malformed_training_arrays_rejected(self, X, y, match):
+        with pytest.raises(TrainingError, match=match):
+            train(X, y, TrainParams(loss=loss.hinge(), c0=1.0))
 
     def test_single_class_rejected(self):
         X = np.zeros((4, 2))
