@@ -28,7 +28,7 @@ import numpy as np
 from . import modelsel
 from .data import default_seed, load_dataset, split_dataset
 from .datasets import CORPUS_TABLE, write_corpus
-from .errors import DataError, KplsvmError
+from .errors import DataError, KplsvmError, check_integer, check_real
 from .kernels import KERNEL_KINDS, KernelSpec, RBF_FORMS
 from .loss import LossSpec, eval_loss
 from .model_io import load_model, save_model
@@ -92,17 +92,15 @@ def _add_kernel_flags(p):
 def _at_least(lo):
     """argparse type: an integer >= ``lo``; anything else exits 2."""
     def integer(text):
-        if int(text) < lo:
-            raise argparse.ArgumentTypeError(f"must be at least {lo}")
-        return int(text)
+        return check_integer(int(text), lo, argparse.ArgumentTypeError,
+                             f"must be at least {lo}")
     return integer
 
 
 def _finite_positive(text):
     """argparse type: a finite float > 0; anything else exits 2."""
-    if not (np.isfinite(float(text)) and float(text) > 0):
-        raise argparse.ArgumentTypeError("must be finite and positive")
-    return float(text)
+    return check_real(float(text), argparse.ArgumentTypeError,
+                      "must be finite and positive", positive=True)
 
 
 def _add_search_flags(p):

@@ -45,17 +45,7 @@ class Dataset:
     split: tuple | None = None      # optional (train_idx, test_idx)
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.X.ndim != 2 or self.y.ndim != 1:
-            raise DataError("X must be 2-d and y 1-d")
-        if self.X.shape[0] != self.y.size:
-            raise DataError("X and y row counts differ")
-        if not np.isfinite(self.X).all():
-            raise DataError("non-finite feature values")
-        labels = set(np.unique(self.y))
-        if not labels <= {-1.0, 1.0}:
-            raise DataError(f"labels must be +-1 after mapping, got {labels}")
+        self.X, self.y = as_labelled(self.X, self.y)
         if self.split is not None:
             tr, te = (np.asarray(s, dtype=int) for s in self.split)
             l = self.y.size
@@ -236,11 +226,18 @@ def fit_normalizer(X) -> NormalizationTransform:
     return NormalizationTransform(mins=X.min(axis=0), maxs=X.max(axis=0))
 
 
+def _floats(values, error: type) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:     # a bad string, a ragged row
+        raise error(f"not an array of real numbers: {exc}") from exc
+
+
 def as_rows(X, features: int | None = None) -> np.ndarray:
     """X as a finite float block of sample rows, a 1-d X being one row,
     with ``features`` columns if given; anything else raises DataError:
     the one rule for rows entering a kernel, the normalizer or predict."""
-    X = np.asarray(X, dtype=float)
+    X = _floats(X, DataError)
     X = X[None, :] if X.ndim == 1 else X
     if X.ndim != 2:
         raise DataError(f"expected 2-d sample array, got shape {X.shape}")
@@ -249,6 +246,21 @@ def as_rows(X, features: int | None = None) -> np.ndarray:
     if features is not None and X.shape[1] != features:
         raise DataError(f"expected {features} features, got {X.shape[1]}")
     return X
+
+
+def as_labelled(X, y, error: type = DataError):
+    """(X, y) as float arrays: the one rule for samples that train or score
+    a model.  X must be a finite 2-d (l, n) block (a 1-d X is refused) and
+    y hold one -1.0 or +1.0 label per row; anything else raises ``error``."""
+    X, y = _floats(X, error), _floats(y, error)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise error(f"X must be (l, n), a 2-d block, and y 1-d, with equal "
+                    f"row counts; got X {X.shape} and y {y.shape}")
+    if not np.isfinite(X).all():
+        raise error("non-finite feature values")
+    if not (np.abs(y) == 1.0).all():
+        raise error(f"labels must be +-1, got {np.unique(y).tolist()[:5]}")
+    return X, y
 
 
 def split_dataset(dataset: Dataset, n_train: int, seed: int | None = 0,

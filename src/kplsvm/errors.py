@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the integer-argument rule."""
+"""Exception types shared across the package, and the one rule for each
+kind of scalar argument, ``check_integer`` and ``check_real``; sample
+blocks have theirs in ``data`` (``as_rows`` and ``as_labelled``)."""
 
 import numbers
+import sys
 
 
 class KplsvmError(Exception):
@@ -37,9 +40,24 @@ class TrainingError(KplsvmError):
     """Training preconditions violated or training-time verification failed."""
 
 
-def check_integer(value, lo: int, error: type, message: str) -> None:
-    """The one rule for an integer argument: ``error(f"{message}, got
-    {value!r}")`` unless ``value`` is a Python or numpy integer >= ``lo``
-    (a float or a string that holds one is not)."""
-    if not (isinstance(value, numbers.Integral) and value >= lo):
+def check_integer(value, lo: int, error: type, message: str):
+    """The one rule for an integer argument: ``value`` if it is a Python or
+    numpy integer >= ``lo`` (a bool, a float or a string that holds one is
+    not), else ``error(f"{message}, got {value!r}")``."""
+    if not (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= lo):
         raise error(f"{message}, got {value!r}")
+    return value
+
+
+def check_real(value, error: type, message: str,
+               positive: bool = False) -> float:
+    """The one rule for a real argument: ``value`` as a float, else
+    ``error(f"{message}, got {value!r}")``.  It must be a Python or numpy
+    real (not a bool, not a string), finite as a float (an int too large
+    for one is not), and with ``positive`` > 0."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (value > 0 or not positive)):
+        raise error(f"{message}, got {value!r}")
+    return float(value)

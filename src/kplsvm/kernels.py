@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import as_rows
-from .errors import DataError
+from .errors import DataError, check_real
 
 __all__ = [
     "KernelSpec",
@@ -41,10 +41,8 @@ class KernelSpec:
             raise DataError(f"unknown kernel kind {self.kind!r}")
         if self.rbf_form not in RBF_FORMS:
             raise DataError(f"unknown rbf form {self.rbf_form!r}")
-        if not np.isfinite(self.q):
-            raise DataError("kernel width q must be finite")
-        if self.kind == "rbf" and not self.q > 0:
-            raise DataError("rbf width q must be positive")
+        check_real(self.q, DataError, "kernel width q must be finite (and "
+                   "positive for rbf)", positive=self.kind == "rbf")
 
 
 def kernel_value(spec: KernelSpec, x, y) -> float:

@@ -12,12 +12,11 @@ affine functions, every member is convex regardless of parameters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RepresentationError
+from .errors import RepresentationError, check_real
 
 __all__ = [
     "LossSpec",
@@ -54,8 +53,10 @@ class LossSpec:
     epsilons: tuple[float, ...]
 
     def __post_init__(self):
-        taus = tuple(float(t) for t in self.taus)
-        epsilons = tuple(float(e) for e in self.epsilons)
+        taus, epsilons = (
+            tuple(check_real(v, RepresentationError,
+                             "loss parameters must be finite") for v in vs)
+            for vs in (self.taus, self.epsilons))
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "epsilons", epsilons)
         if len(taus) != len(epsilons):
@@ -63,9 +64,6 @@ class LossSpec:
                 f"taus and epsilons must have equal length, "
                 f"got {len(taus)} and {len(epsilons)}"
             )
-        for v in taus + epsilons:
-            if not math.isfinite(v):
-                raise RepresentationError("loss parameters must be finite")
 
     @property
     def k(self) -> int:

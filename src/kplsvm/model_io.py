@@ -11,13 +11,12 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import math
 import os
 
 import numpy as np
 
 from .data import NormalizationTransform, open_text
-from .errors import DataError, RepresentationError
+from .errors import DataError, RepresentationError, check_real
 from .kernels import KernelSpec
 from .loss import LossSpec
 from .trainer import TrainedModel
@@ -69,13 +68,6 @@ def _is_number_type(t: type) -> bool:
     return issubclass(t, (int, float)) and t is not bool
 
 
-def _number(value, name: str) -> float:
-    """The JSON number ``value`` as a float; anything else is a bad ``name``."""
-    _require(_is_number_type(type(value)), f"bad {name}")
-    with _field(name):      # an int too large for a float
-        return float(value)
-
-
 def _number_array(value, name: str, ndim: int = 1) -> np.ndarray:
     """A JSON array of numbers (``ndim`` 2: an array of such arrays) as a
     float array; strings, booleans and nulls in it are a bad ``name``."""
@@ -100,10 +92,8 @@ def model_from_dict(doc: dict) -> TrainedModel:
         _require(key in doc, f"missing field {key!r}")
     kern = doc["kernel"]
     _require(isinstance(kern, dict) and "kind" in kern, "bad kernel block")
-    with _field("kernel"):
-        kernel = KernelSpec(kind=kern["kind"],
-                            q=_number(kern.get("q", 1.0), "kernel"),
-                            rbf_form=kern.get("rbf_form", "squared-distance"))
+    kernel = KernelSpec(kind=kern["kind"], q=kern.get("q", 1.0),
+                        rbf_form=kern.get("rbf_form", "squared-distance"))
     loss_doc = doc["loss"]
     _require(isinstance(loss_doc, dict), "bad loss block")
     with _field("loss"):
@@ -111,10 +101,9 @@ def model_from_dict(doc: dict) -> TrainedModel:
             taus=tuple(_number_array(loss_doc.get("taus", []), "loss")),
             epsilons=tuple(_number_array(loss_doc.get("epsilons", []),
                                          "loss")))
-    c0 = _number(doc["c0"], "c0")
-    _require(math.isfinite(c0) and c0 > 0, "c0 must be finite and positive")
-    bias = _number(doc["bias"], "bias")
-    _require(math.isfinite(bias), "bias must be finite")
+    c0 = check_real(doc["c0"], DataError,
+                    "model file: c0 must be finite and positive", positive=True)
+    bias = check_real(doc["bias"], DataError, "model file: bias must be finite")
     support = _number_array(doc["support_x"], "support_x", ndim=2)
     beta = _number_array(doc["beta"], "beta")
     _require(support.ndim == 2, "support_x must be a 2-D array")

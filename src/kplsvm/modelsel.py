@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, open_text
+from .data import as_labelled, as_rows, open_text
 from .datasets import load_manifest, resolve_split
-from .errors import DataError, KplsvmError, check_integer
+from .errors import DataError, KplsvmError, check_integer, check_real
 from .kernels import KernelSpec
 from .loss import LossSpec, canonical
 from .trainer import TrainParams, train
@@ -77,18 +77,15 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("c0_grid", "q_grid", "tau_grid", "eps_grid"):
-            g = tuple(float(v) for v in getattr(self, name))
+            positive = name in ("c0_grid", "q_grid")
+            rule = "finite and positive" if positive else "finite"
+            g = tuple(check_real(v, DataError, f"{name} values must be {rule}",
+                                 positive) for v in getattr(self, name))
             if not g:
                 raise DataError(f"{name} must be nonempty")
-            if not all(np.isfinite(g)):
-                raise DataError(f"{name} must be finite")
             if any(b <= a for a, b in zip(g, g[1:])):
                 raise DataError(f"{name} must be strictly increasing")
             object.__setattr__(self, name, g)
-        if any(c <= 0 for c in self.c0_grid):
-            raise DataError("c0_grid values must be positive")
-        if any(q <= 0 for q in self.q_grid):
-            raise DataError("q_grid values must be positive")
 
 
 @dataclass
@@ -121,18 +118,12 @@ class GridSearchReport:
 
 
 def evaluate(model, X, y) -> float:
-    """Accuracy percentage (three decimals) of ``model`` on a test split."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] == 0:
+    """Accuracy percentage (three decimals) of ``model`` on a test split; X
+    passes ``data.as_rows`` and then, with y, ``data.as_labelled``."""
+    X, y = as_labelled(as_rows(X), y)
+    if y.size == 0:
         raise DataError("cannot evaluate on an empty test set")
-    if y.ndim != 1:
-        raise DataError(f"labels must be a 1-d array, got shape {y.shape}")
-    pred = model.predict(X)
-    if pred.shape != y.shape:
-        raise DataError(f"{y.size} labels for {pred.size} test rows")
-    correct = int(np.sum(pred == y))
-    return round(100.0 * correct / len(y), 3)
+    return round(100.0 * int(np.sum(model.predict(X) == y)) / y.size, 3)
 
 
 def _fold_assignment(y, folds):
@@ -168,6 +159,9 @@ class _Scorer:
             fold = _fold_assignment(self.y[tr], folds)
             self.splits = [(tr[fold != f], tr[fold == f])
                            for f in range(folds) if np.any(fold == f)]
+        self._validation_rows = sum(len(val) for _, val in self.splits)
+        if not self._validation_rows:
+            raise DataError("no validation samples in any split")
         self._cache = {}
 
     def score(self, params):
@@ -189,15 +183,12 @@ class _Scorer:
         return acc, err, time.perf_counter() - t0
 
     def _score_uncached(self, params):
-        correct, total = 0, 0
+        correct = 0
         for fit_idx, val_idx in self.splits:
             model = train(self.X[fit_idx], self.y[fit_idx], params)
-            pred = model.predict(self.X[val_idx])
-            correct += int(np.sum(pred == self.y[val_idx]))
-            total += len(val_idx)
-        if total == 0:
-            raise DataError("no validation samples in any split")
-        return round(100.0 * correct / total, 3)
+            correct += int(np.sum(model.predict(self.X[val_idx])
+                                  == self.y[val_idx]))
+        return round(100.0 * correct / self._validation_rows, 3)
 
 
 def _loss_params(family, values):

@@ -49,7 +49,7 @@ import scipy.linalg
 
 from . import loss
 from .errors import (InfeasibleError, SolverError, TrainingError,
-                     check_integer)
+                     check_integer, check_real)
 from .loss import LossSpec
 
 __all__ = [
@@ -225,8 +225,8 @@ def assemble_dual(
 def solve(problem: QpProblem, tol: float = 1e-8,
           max_iter: int = 200) -> QpSolution:
     """Solve until every ``residuals`` entry is <= ``tol``; see QpSolution."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise TrainingError(f"tol must be finite and positive, got {tol}")
+    check_real(tol, TrainingError, "tol must be finite and positive",
+               positive=True)
     check_integer(max_iter, 1, TrainingError,
                   "max_iter must be at least 1 (int)")
     z, nu, mu, obj, res, its, status = _interior_point(problem, tol, max_iter)

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blas, kernels, loss, qp
-from .data import NormalizationTransform, as_rows, fit_normalizer
-from .errors import TrainingError, check_integer
+from .data import (NormalizationTransform, as_labelled, as_rows,
+                   fit_normalizer)
+from .errors import TrainingError, check_integer, check_real
 from .kernels import KernelSpec
 from .loss import LossSpec
 
@@ -53,15 +54,16 @@ class TrainParams:
     canonicalize: bool = True
 
     def __post_init__(self):
-        if not (np.isfinite(self.c0) and self.c0 > 0):
-            raise TrainingError(f"c0 must be finite and positive, got {self.c0}")
-        if not (np.isfinite(self.qp_tol) and self.qp_tol > 0):
-            raise TrainingError(
-                f"qp_tol must be finite and positive, got {self.qp_tol}")
+        check_real(self.c0, TrainingError, "c0 must be finite and positive",
+                   positive=True)
+        check_real(self.qp_tol, TrainingError,
+                   "qp_tol must be finite and positive", positive=True)
         check_integer(self.max_iter, 1, TrainingError,
                       "max_iter must be at least 1 (int)")
-        if not 0 < self.active_threshold < 1:
-            raise TrainingError("active_threshold must lie in (0, 1)")
+        in_range = "active_threshold must lie in (0, 1)"
+        if check_real(self.active_threshold, TrainingError, in_range,
+                      positive=True) >= 1:
+            raise TrainingError(f"{in_range}, got {self.active_threshold!r}")
         if self.loss.k < 2:
             raise TrainingError("loss must have at least one non-identity piece")
 
@@ -132,16 +134,9 @@ def train(X, y, params: TrainParams, normalize: bool = True) -> TrainedModel:
 
 
 def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
-        raise TrainingError("X must be (l, n) with matching label vector")
+    X, y = as_labelled(X, y, TrainingError)
     if y.size < 2:
         raise TrainingError("need at least two training points")
-    if not np.isfinite(X).all():
-        raise TrainingError("non-finite features")
-    if not set(np.unique(y)) <= {-1.0, 1.0}:
-        raise TrainingError("labels must be +-1")
 
     normalizer = fit_normalizer(X) if normalize else None
     Xn = normalizer.apply(X) if normalizer else X

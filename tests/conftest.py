@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from kplsvm import datasets
@@ -16,6 +17,23 @@ def load_standin(name, corpus_seed=0, split_seed=0):
     ds = Dataset(X, y01 * 2.0 - 1.0, name=name)
     ds.split = split_dataset(ds, row.n_train, seed=split_seed)
     return ds
+
+
+def monk_arrays(which):
+    """(X_train, y_train, X_test, y_test) of Monk problem ``which``, with
+    the 0/1 labels mapped to -1/+1."""
+    Xtr, ytr01, Xte, yte01 = datasets.make_monk(which)
+    return Xtr, ytr01 * 2.0 - 1.0, Xte, yte01 * 2.0 - 1.0
+
+
+def monk_dataset(which):
+    """Monk problem ``which`` as one Dataset whose split is its own
+    training and test rows."""
+    Xtr, ytr, Xte, yte = monk_arrays(which)
+    n = len(ytr)
+    return Dataset(np.vstack([Xtr, Xte]), np.concatenate([ytr, yte]),
+                   name=f"monk{which}",
+                   split=(np.arange(n), np.arange(n, n + len(yte))))
 
 
 @pytest.fixture

@@ -18,9 +18,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+from conftest import monk_dataset
 
 from kplsvm import datasets, loss, modelsel, trainer
-from kplsvm.data import Dataset
 from kplsvm.kernels import RBF_FORMS, KernelSpec
 from kplsvm.loss import LossSpec
 from kplsvm.model_io import load_model, save_model
@@ -36,15 +36,6 @@ MONK_C0 = {1: 0.0625, 2: 0.0078125, 3: 0.125}
 def _report(capsys, num, ok, detail):
     with capsys.disabled():
         print(f"\ncriterion {num:02d}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def monk_dataset(which):
-    trX, try01, teX, tey01 = datasets.make_monk(which)
-    X = np.vstack([trX, teX])
-    y = np.concatenate([try01, tey01]) * 2.0 - 1.0
-    n = len(try01)
-    return Dataset(X, y, name=f"monk{which}",
-                   split=(np.arange(n), np.arange(n, len(y))))
 
 
 def test_criterion_01_hinge_reduction_on_monks(capsys):

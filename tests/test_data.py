@@ -205,7 +205,10 @@ class TestAsRows:
         ([[1.0, np.nan]], "non-finite feature values"),
         (np.zeros((3, 4)), "expected 2 features, got 4"),
         (np.zeros(4), "expected 2 features, got 4"),
-    ], ids=["rank3", "scalar", "nan", "width", "1-d width"])
+        ([["1.0", "x"]], "real numbers"),
+        ([[1.0, 2.0], [3.0]], "real numbers"),
+    ], ids=["rank3", "scalar", "nan", "width", "1-d width", "string",
+            "ragged"])
     def test_rejects(self, X, match):
         with pytest.raises(DataError, match=match):
             data.as_rows(X, 2)
@@ -252,6 +255,8 @@ class TestSplit:
         (np.float64(10.0), 0, "n_train"),
         (10, 1.5, "seed"),
         (10, "1", "seed"),
+        (True, 0, "n_train"),
+        (10, True, "seed"),
     ])
     def test_integer_arguments(self, n_train, seed, match):
         with pytest.raises(DataError, match=match):
@@ -425,6 +430,8 @@ class TestCorpus:
         ([[0.0], [np.inf], [1.0], [2.0]], [1.0, -1.0, 1.0, -1.0],
          "non-finite"),
         (np.zeros((4, 1)), [1.0, 0.0, 1.0, 0.0], "labels must be"),
+        ([["a"], ["b"]], [1.0, -1.0], "real numbers"),
+        ([[0.0], [1.0, 2.0]], [1.0, -1.0], "real numbers"),
     ])
     def test_dataset_arrays_validated(self, X, y, match):
         with pytest.raises(DataError, match=match):

@@ -132,12 +132,15 @@ def test_rejects_bad_configs():
 
 
 def test_rbf_width_must_be_finite():
-    # an infinite width would make the Gram matrix all ones
-    with pytest.raises(DataError, match="finite"):
-        kernels.KernelSpec(kind="rbf", q=float("inf"))
+    # an infinite width would make the Gram matrix all ones; a string, a
+    # None or a bool is no width at all
+    for q in (float("inf"), "2", None, True):
+        with pytest.raises(DataError, match="finite"):
+            kernels.KernelSpec(kind="rbf", q=q)
 
 
-@pytest.mark.parametrize("q", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("q", [float("inf"), float("-inf"), float("nan"),
+                               "2", None, True])
 def test_linear_width_must_be_finite(q):
     # a linear kernel ignores q, but a model file must stay strict JSON
     with pytest.raises(DataError, match="finite"):

@@ -365,8 +365,12 @@ class TestProperties:
             loss.LossSpec(taus=(0.1,), epsilons=())
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(RepresentationError):
-            loss.LossSpec(taus=(float("nan"),), epsilons=(0.0,))
+        # and what is no real number: a None, a string, a bool
+        for bad in (float("nan"), None, "a", "0.5", True):
+            with pytest.raises(RepresentationError, match="finite"):
+                loss.LossSpec(taus=(bad,), epsilons=(0.0,))
+            with pytest.raises(RepresentationError, match="finite"):
+                loss.LossSpec(taus=(0.0,), epsilons=(bad,))
 
 
 class TestFamilyInvariants:

@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import monk_dataset
 
 from kplsvm import datasets, loss, modelsel
 from kplsvm.data import Dataset
@@ -26,15 +27,6 @@ def blob_dataset(seed=0, n_per=12, gap=2.0, n_test=20):
     tr = np.arange(2 * n_per)
     te = np.arange(2 * n_per, n)
     return Dataset(X, y, name="blob", split=(tr, te))
-
-
-def monk_dataset(which):
-    Xtr, ytr, Xte, yte = datasets.make_monk(which)
-    X = np.vstack([Xtr, Xte])
-    y = np.concatenate([ytr, yte]) * 2.0 - 1.0
-    n = len(Xtr)
-    return Dataset(X, y, name=f"monk{which}",
-                   split=(np.arange(n), np.arange(n, len(X))))
 
 
 TINY = GridSpec(c0_grid=(0.125, 1.0), q_grid=(1.0,),
@@ -77,6 +69,10 @@ class TestGridSpec:
         dict(c0_grid=(-1.0, 1.0)),
         dict(q_grid=(0.0, 1.0)),
         dict(tau_grid=(0.0, float("inf"))),
+        dict(c0_grid=(None,)),
+        dict(c0_grid=("a",)),
+        dict(tau_grid=("0.5",)),
+        dict(q_grid=(True,)),
     ])
     def test_validation(self, bad):
         with pytest.raises(DataError):
@@ -108,14 +104,29 @@ class TestEvaluate:
     @pytest.mark.parametrize("n_labels", [1, 3, 5])
     def test_label_count_must_match_rows(self, n_labels):
         # one label would broadcast against every row
-        with pytest.raises(DataError, match=f"{n_labels} labels for 4"):
+        with pytest.raises(DataError,
+                           match=rf"X \(4, 2\) and y \({n_labels},\)"):
             evaluate(self._Const(1.0), np.zeros((4, 2)), np.ones(n_labels))
 
     def test_labels_must_be_one_d(self):
         # a 1-d X is one row, but a scalar label is not a label vector
         X, y = np.zeros((4, 2)), np.ones(4)
-        with pytest.raises(DataError, match=r"1-d array, got shape \(\)"):
+        with pytest.raises(DataError, match=r"X \(1, 2\) and y \(\)"):
             evaluate(self._Const(1.0), X[0], y[0])
+
+    @pytest.mark.parametrize("X, y, match", [
+        (np.zeros((4, 2)), [1.0, 0.0, 1.0, 0.0], "labels must be"),
+        (np.zeros((4, 2)), np.full(4, 2.0), "labels must be"),
+        (np.zeros((4, 2)), np.full(4, np.nan), "labels must be"),
+        (np.zeros((2, 2)), ["a", "b"], "real numbers"),
+        ([["a", "b"]], [1.0], "real numbers"),
+        ([[0.0, 1.0], [2.0]], [1.0, -1.0], "real numbers"),
+    ], ids=["0/1 labels", "labels 2", "nan labels", "string labels",
+            "string row", "ragged rows"])
+    def test_malformed_samples_rejected(self, X, y, match):
+        # labels outside +-1 were once scored as if they were classes
+        with pytest.raises(DataError, match=match):
+            evaluate(self._Const(1.0), X, y)
 
     def test_holdout_score_is_evaluate(self, monkeypatch):
         # 100 * 23 / 320 is 7.1875 exactly; 100 * (23 / 320) is not
@@ -288,15 +299,22 @@ class TestStagedSearch:
         with pytest.raises(DataError):
             staged_search(Dataset(ds.X, ds.y), "linear", TINY)
 
-    def test_empty_validation_split_is_a_cell_error(self):
-        # holdout on a split with no test rows scores nothing
+    def test_empty_validation_split_fails_before_training(self,
+                                                          monkeypatch):
+        # holdout on a split with no test rows has nothing to score, so
+        # it fails as a whole before any cell trains
+        trains = []
+        monkeypatch.setattr(modelsel, "train",
+                            lambda *args: trains.append(args))
         ds = blob_dataset()
-        scorer = modelsel._Scorer(
-            Dataset(ds.X, ds.y, split=(np.arange(len(ds)), [])),
-            "holdout", folds=None)
-        acc, err, _ = scorer.score(TrainParams(loss=loss.hinge(), c0=1.0))
-        assert acc is None
-        assert err == "DataError: no validation samples in any split"
+        ds = Dataset(ds.X, ds.y, split=(np.arange(len(ds)), []))
+        with pytest.raises(DataError,
+                           match="^no validation samples in any split$"):
+            modelsel._Scorer(ds, "holdout", folds=None)
+        with pytest.raises(DataError,
+                           match="^no validation samples in any split$"):
+            staged_search(ds, "linear", TINY, criterion="holdout")
+        assert trains == []
 
     def test_cv_label_carries_fold_count(self):
         for folds in (3, np.int64(3)):      # a numpy integer is an integer

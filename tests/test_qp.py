@@ -459,7 +459,8 @@ class TestInteriorPoint:
         with pytest.raises(TrainingError, match="max_iter must be at least 1"):
             qp.solve(problem, max_iter=max_iter)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("inf"), float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("inf"), float("nan"),
+                                     "1"])
     def test_tol_must_be_finite_and_positive(self, tol):
         # an infinite tol would stop at the first iterate as "optimal"
         problem = toy_dual(loss.hinge(), [1.0, 1.0, -1.0, -1.0], [1.0] * 4)

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import monk_arrays, monk_dataset
 from hypothesis import assume, example, given, settings, strategies as st
 
-from kplsvm import blas, datasets, kernels, loss, qp, trainer
+from kplsvm import blas, kernels, loss, qp, trainer
 from kplsvm.data import Dataset
 from kplsvm.errors import DataError, TrainingError
 from kplsvm.kernels import KernelSpec
@@ -30,20 +31,6 @@ def primal_objective_in_b(model, X, y, C, b):
     """Loss term of the primal objective in b alone, w frozen at the model's."""
     u = 1.0 - y * (model.decision_function(X) - model.bias + b)
     return float(C @ loss.eval_loss(model.loss, u))
-
-
-def monk_arrays(which):
-    Xtr, ytr01, Xte, yte01 = datasets.make_monk(which)
-    return (Xtr, np.where(ytr01 == 0, -1.0, 1.0),
-            Xte, np.where(yte01 == 0, -1.0, 1.0))
-
-
-def monk_dataset(which):
-    Xtr, ytr, Xte, yte = monk_arrays(which)
-    ntr = len(ytr)
-    return Dataset(X=np.vstack([Xtr, Xte]), y=np.concatenate([ytr, yte]),
-                   name=f"monk{which}",
-                   split=(np.arange(ntr), np.arange(ntr, ntr + len(yte))))
 
 
 @pytest.mark.skipif(not blas.thread_counts(),
@@ -153,21 +140,24 @@ class TestParamsValidation:
             TrainParams(loss=loss.hinge(), c0=0.0)
 
     def test_c0_must_be_finite(self):
-        # an infinite cap would train into numerical_failure
-        with pytest.raises(TrainingError, match="finite"):
-            TrainParams(loss=loss.hinge(), c0=float("inf"))
+        # an infinite cap would train into numerical_failure; a string, a
+        # None or a bool is no real number
+        for bad in (float("inf"), "1", None, True):
+            with pytest.raises(TrainingError, match="finite"):
+                TrainParams(loss=loss.hinge(), c0=bad)
 
     def test_threshold_range(self):
-        with pytest.raises(TrainingError):
-            TrainParams(loss=loss.hinge(), c0=1.0, active_threshold=1.0)
+        for bad in (1.0, "0.1"):
+            with pytest.raises(TrainingError, match="active_threshold"):
+                TrainParams(loss=loss.hinge(), c0=1.0, active_threshold=bad)
 
     def test_qp_tol_positive(self):
-        for bad in (0.0, float("inf")):
+        for bad in (0.0, float("inf"), "1e-8"):
             with pytest.raises(TrainingError):
                 TrainParams(loss=loss.hinge(), c0=1.0, qp_tol=bad)
 
     @pytest.mark.parametrize("bad", [0, -3, float("inf"), 2.5,
-                                     np.float64(3.0)])
+                                     np.float64(3.0), True])
     def test_max_iter_at_least_one(self, bad):
         # no iteration would leave the solver without an iterate to return,
         # and a float once reached range() as a bare TypeError
@@ -204,6 +194,8 @@ class TestTrainBasics:
         (np.zeros((4, 1)), [[1.0, -1.0, 1.0, -1.0]], "must be \\(l, n\\)"),
         (np.zeros((3, 1)), [1.0, -1.0, 1.0, -1.0], "must be \\(l, n\\)"),
         (np.zeros((1, 1)), [1.0], "at least two"),
+        ([["a"], ["b"]], [1.0, -1.0], "real numbers"),
+        ([[0.0], [1.0, 2.0]], [1.0, -1.0], "real numbers"),
     ])
     def test_malformed_training_arrays_rejected(self, X, y, match):
         with pytest.raises(TrainingError, match=match):
@@ -528,7 +520,9 @@ class TestPredict:
                            (np.array([1.0, np.inf, 0.0]), "non-finite"),
                            (np.zeros((2, 4)), "expected 3 features, got 4"),
                            (np.zeros(2), "expected 3 features, got 2"),
-                           (np.zeros((0, 4)), "expected 3 features, got 4")]:
+                           (np.zeros((0, 4)), "expected 3 features, got 4"),
+                           ([[0.0, 1.0, "x"]], "real numbers"),
+                           ([[0.0, 1.0, 2.0], [0.0]], "real numbers")]:
             with pytest.raises(DataError, match=match):
                 m.decision_function(bad)
 
