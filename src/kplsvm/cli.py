@@ -26,9 +26,10 @@ import time
 import numpy as np
 
 from . import modelsel
-from .data import default_seed, load_dataset, split_dataset
+from .data import load_dataset, split_dataset
 from .datasets import CORPUS_TABLE, write_corpus
-from .errors import DataError, KplsvmError, check_integer, check_real
+from .errors import (DataError, KplsvmError, RepresentationError,
+                     check_integer, check_real)
 from .kernels import KERNEL_KINDS, KernelSpec, RBF_FORMS
 from .loss import LossSpec, eval_loss
 from .model_io import load_model, save_model
@@ -63,14 +64,10 @@ def _float_list(text, flag):
 def _loss_from_flags(args):
     taus = _float_list(args.taus, "--taus")
     eps = _float_list(args.epsilons, "--epsilons")
-    if len(taus) != len(eps):
-        raise UsageError(f"--taus has {len(taus)} values but --epsilons "
-                         f"has {len(eps)}; lengths must match")
-    return LossSpec(taus=taus, epsilons=eps)
-
-
-def _kernel_from_flags(args):
-    return KernelSpec(kind=args.kernel, q=args.q, rbf_form=args.rbf_form)
+    try:
+        return LossSpec(taus=taus, epsilons=eps)
+    except RepresentationError as exc:
+        raise UsageError(f"--taus/--epsilons: {exc}") from exc
 
 
 def _add_data_flags(p):
@@ -127,7 +124,10 @@ def _grid_or_default(args):
         raw = getattr(args, name)
         if raw is not None:
             fields[name] = _float_list(raw, "--" + name.replace("_", "-"))
-    return GridSpec(**fields)
+    try:
+        return GridSpec(**fields)
+    except DataError as exc:
+        raise UsageError(f"grid flags: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ def _grid_or_default(args):
 
 def cmd_train(args):
     loss = _loss_from_flags(args)
-    kernel = _kernel_from_flags(args)
+    kernel = KernelSpec(kind=args.kernel, q=args.q, rbf_form=args.rbf_form)
     params = TrainParams(loss=loss, c0=args.c0, kernel=kernel,
                          balance_classes=args.balance)
     ds = _load(args)
@@ -190,14 +190,11 @@ def cmd_eval(args):
 
 
 def cmd_grid_search(args):
+    grids = _grid_or_default(args)
     ds = _load(args)
-    seed = args.seed if args.seed is not None else default_seed()
-    tr, te = split_dataset(ds, args.n_train,
-                           seed=None if args.predefined_split else seed,
-                           predefined=args.predefined_split)
-    ds = dataclasses.replace(ds, split=(tr, te))
-    report = staged_search(ds, kernel_kind=args.kernel,
-                           grids=_grid_or_default(args),
+    ds = dataclasses.replace(ds, split=split_dataset(
+        ds, args.n_train, seed=args.seed, predefined=args.predefined_split))
+    report = staged_search(ds, kernel_kind=args.kernel, grids=grids,
                            criterion=args.criterion, folds=args.folds,
                            jobs=args.jobs)
     chosen_q = "" if report.chosen_q is None else f", q = {report.chosen_q:g}"

@@ -47,18 +47,33 @@ class Dataset:
     def __post_init__(self):
         self.X, self.y = as_labelled(self.X, self.y)
         if self.split is not None:
-            tr, te = (np.asarray(s, dtype=int) for s in self.split)
-            l = self.y.size
-            if set(tr) & set(te):
+            if len(self.split) != 2:
+                raise DataError("split must be a (train, test) pair")
+            tr, te = (_row_numbers(s, self.y.size, name)
+                      for s, name in zip(self.split, ("train", "test")))
+            if np.isin(tr, te).any():
                 raise DataError("split indices overlap")
-            if tr.size and (tr.min() < 0 or tr.max() >= l):
-                raise DataError("train indices out of range")
-            if te.size and (te.min() < 0 or te.max() >= l):
-                raise DataError("test indices out of range")
             self.split = (tr, te)
 
     def __len__(self) -> int:
         return self.y.size
+
+
+def _row_numbers(rows, l: int, name: str) -> np.ndarray:
+    """``rows`` as a 1-d integer array of row numbers in [0, l), an empty
+    list being none.  As for ``check_integer``, a float, a bool or a string
+    is no row number, even when it holds one; none is rewritten."""
+    try:
+        a = np.asarray(rows) if len(rows) else np.arange(0)
+    except (TypeError, ValueError):             # no length, or ragged
+        a = np.asarray(None)
+    if (a.ndim != 1 or a.dtype.kind not in "iu"
+            or {bool, np.bool_} & set(map(type, rows))):
+        raise DataError(f"{name} indices must be a 1-d array of integers, "
+                        f"got {rows!r}")
+    if a.size and (a.min() < 0 or a.max() >= l):
+        raise DataError(f"{name} indices out of range")
+    return a
 
 
 def _map_labels(raw_labels: list) -> tuple[np.ndarray, dict]:
@@ -67,7 +82,7 @@ def _map_labels(raw_labels: list) -> tuple[np.ndarray, dict]:
     The numerically (or, failing that, lexicographically) smaller
     original label becomes -1.  Covers 0/1, 1/2, and +-1 conventions.
     """
-    uniq = sorted(set(raw_labels), key=_label_sort_key)
+    uniq = sorted(set(raw_labels), key=lambda v: (isinstance(v, str), v))
     if len(uniq) != 2:
         raise DataError(
             f"expected exactly 2 label values, found {len(uniq)}: {uniq[:5]}")
@@ -75,14 +90,8 @@ def _map_labels(raw_labels: list) -> tuple[np.ndarray, dict]:
     return np.array([mapping[v] for v in raw_labels]), mapping
 
 
-def _label_sort_key(v):
-    try:
-        return (0, float(v), "")
-    except (TypeError, ValueError):
-        return (1, 0.0, str(v))
-
-
 def _parse_label(tok: str):
+    """The number ``tok`` holds, an int when whole, else ``tok`` itself."""
     try:
         f = float(tok)
         return int(f) if f.is_integer() else f
@@ -117,7 +126,7 @@ def load_csv(path, label_col: int = 0, name: str | None = None) -> Dataset:
     first = [t.strip() for t in lines[0][1].split(",")]
     lc0 = label_col % len(first) if -len(first) <= label_col < len(first) \
         else None
-    start = int(any(not _is_number(tok)
+    start = int(any(isinstance(_parse_label(tok), str)
                     for j, tok in enumerate(first) if j != lc0))
     width = None
     labels, feats = [], []
@@ -142,14 +151,6 @@ def load_csv(path, label_col: int = 0, name: str | None = None) -> Dataset:
     ds_name = name if name is not None else os.path.basename(path)
     return Dataset(np.array(feats, dtype=float), y, name=ds_name,
                    label_map=mapping)
-
-
-def _is_number(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
 
 
 def load_libsvm(path, name: str | None = None) -> Dataset:
@@ -220,7 +221,8 @@ class NormalizationTransform:
 
 
 def fit_normalizer(X) -> NormalizationTransform:
-    if np.ndim(X) != 2 or len(X) == 0:      # here 1-d is not one sample
+    X = _floats(X, DataError)
+    if X.ndim != 2 or len(X) == 0:          # here 1-d is not one sample
         raise DataError("normalizer needs a nonempty 2-d sample block")
     X = as_rows(X)
     return NormalizationTransform(mins=X.min(axis=0), maxs=X.max(axis=0))

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the one rule for each
-kind of scalar argument, ``check_integer`` and ``check_real``; sample
-blocks have theirs in ``data`` (``as_rows`` and ``as_labelled``)."""
+kind of scalar argument, ``check_integer`` and ``check_real`` (and its
+sequences, ``check_reals``); sample blocks have theirs in ``data``."""
 
 import numbers
 import sys
@@ -61,3 +61,13 @@ def check_real(value, error: type, message: str,
             and (value > 0 or not positive)):
         raise error(f"{message}, got {value!r}")
     return float(value)
+
+
+def check_reals(values, error: type, message: str,
+                positive: bool = False) -> tuple:
+    """``check_real`` over a list, a tuple or a 1-d array: the values as a
+    tuple of floats; anything else raises ``error`` with ``message``."""
+    if not (isinstance(values, (list, tuple))
+            or getattr(values, "ndim", None) == 1):
+        raise error(f"{message}: not a list, tuple or 1-d array: {values!r}")
+    return tuple(check_real(v, error, message, positive) for v in values)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RepresentationError, check_real
+from .errors import RepresentationError, check_reals
 
 __all__ = [
     "LossSpec",
@@ -53,17 +53,14 @@ class LossSpec:
     epsilons: tuple[float, ...]
 
     def __post_init__(self):
-        taus, epsilons = (
-            tuple(check_real(v, RepresentationError,
-                             "loss parameters must be finite") for v in vs)
-            for vs in (self.taus, self.epsilons))
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "epsilons", epsilons)
-        if len(taus) != len(epsilons):
+        for name in ("taus", "epsilons"):
+            object.__setattr__(self, name, check_reals(
+                getattr(self, name), RepresentationError,
+                "loss parameters must be finite"))
+        if len(self.taus) != len(self.epsilons):
             raise RepresentationError(
-                f"taus and epsilons must have equal length, "
-                f"got {len(taus)} and {len(epsilons)}"
-            )
+                "taus and epsilons must have equal length, got "
+                f"{len(self.taus)} and {len(self.epsilons)}")
 
     @property
     def k(self) -> int:

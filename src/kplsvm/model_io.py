@@ -97,10 +97,8 @@ def model_from_dict(doc: dict) -> TrainedModel:
     loss_doc = doc["loss"]
     _require(isinstance(loss_doc, dict), "bad loss block")
     with _field("loss"):
-        loss = LossSpec(
-            taus=tuple(_number_array(loss_doc.get("taus", []), "loss")),
-            epsilons=tuple(_number_array(loss_doc.get("epsilons", []),
-                                         "loss")))
+        loss = LossSpec(taus=loss_doc.get("taus", []),
+                        epsilons=loss_doc.get("epsilons", []))
     c0 = check_real(doc["c0"], DataError,
                     "model file: c0 must be finite and positive", positive=True)
     bias = check_real(doc["bias"], DataError, "model file: bias must be finite")

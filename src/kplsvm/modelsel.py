@@ -19,8 +19,8 @@ import numpy as np
 
 from .data import as_labelled, as_rows, open_text
 from .datasets import load_manifest, resolve_split
-from .errors import DataError, KplsvmError, check_integer, check_real
-from .kernels import KernelSpec
+from .errors import DataError, KplsvmError, check_integer, check_reals
+from .kernels import KERNEL_KINDS, KernelSpec
 from .loss import LossSpec, canonical
 from .trainer import TrainParams, train
 
@@ -79,8 +79,8 @@ class GridSpec:
         for name in ("c0_grid", "q_grid", "tau_grid", "eps_grid"):
             positive = name in ("c0_grid", "q_grid")
             rule = "finite and positive" if positive else "finite"
-            g = tuple(check_real(v, DataError, f"{name} values must be {rule}",
-                                 positive) for v in getattr(self, name))
+            g = check_reals(getattr(self, name), DataError,
+                            f"{name} values must be {rule}", positive)
             if not g:
                 raise DataError(f"{name} must be nonempty")
             if any(b <= a for a, b in zip(g, g[1:])):
@@ -275,8 +275,9 @@ def staged_search(dataset, kernel_kind="linear", grids=None,
     Open item 6) and changes nothing until then.
     """
     check_integer(jobs, 1, DataError, "jobs must be at least 1 (int)")
-    if kernel_kind not in ("linear", "rbf"):
-        raise DataError(f"kernel_kind must be linear or rbf, got {kernel_kind!r}")
+    if kernel_kind not in KERNEL_KINDS:
+        raise DataError(f"kernel_kind must be {' or '.join(KERNEL_KINDS)}, "
+                        f"got {kernel_kind!r}")
     if criterion not in ("cv", "holdout"):
         raise DataError(f"unknown criterion {criterion!r}")
     check_integer(folds, 2, DataError, "folds must be >= 2")

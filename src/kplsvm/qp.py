@@ -377,7 +377,7 @@ def _crossover(problem: QpProblem, z: np.ndarray, mu0: np.ndarray,
         if np.count_nonzero(free) - l > 6000:   # p, the reduced dimension
             return None
         try:
-            face, nu = _solve_face(problem, free)
+            face, nu, qz = _solve_face(problem, free)
         except np.linalg.LinAlgError:
             return None
         low = np.flatnonzero(free & (face < -1e-9 * (1.0 + z.max())))
@@ -390,7 +390,6 @@ def _crossover(problem: QpProblem, z: np.ndarray, mu0: np.ndarray,
         if low.size:                # phase 1: pin them all at once
             free[low] = False
             continue
-        qz = problem.q_mul(face)
         mu = np.where(free, np.inf, qz + problem.c - problem.at_mul(nu))
         if not mu.min() < -1e-9 * (c_scale + np.abs(qz).max()):
             break
@@ -408,7 +407,7 @@ def _solve_face(problem: QpProblem, free: np.ndarray):
     """Exact KKT solve with the coordinates off the boolean mask ``free``
     pinned to zero; the mask is read, not written.
 
-    Returns (z, nu) with z full-length.  Precondition, not checked: every
+    Returns (z, nu, Qz) with z full-length.  Precondition, not checked: every
     simplex row holds a free coordinate, as ``_crossover`` keeps them.
     Null-space method (Nocedal & Wright, 2nd ed., 16.2): sample i's
     first free coordinate j0 is its pivot, z = z0 + Nw with
@@ -449,10 +448,11 @@ def _solve_face(problem: QpProblem, free: np.ndarray):
         w, nu0 = w + ew, nu0 + enu0
     z[rest] = w
     z[piv] -= np.bincount(rs, weights=w, minlength=l)
-    grad_piv = (problem.q_mul(z) + problem.c)[piv]
+    qz = problem.q_mul(z)
+    grad_piv = (qz + problem.c)[piv]
     if not schur > 0:
         nu0 = (a @ grad_piv) / (1.0 + a @ a)
-    return z, np.concatenate(([nu0], grad_piv - a * nu0))
+    return z, np.concatenate(([nu0], grad_piv - a * nu0)), qz
 
 
 def _factorize(problem: QpProblem, d: np.ndarray):

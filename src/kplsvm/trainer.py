@@ -155,7 +155,6 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
             f"{sol.iterations} iterations "
             f"(residuals {sol.kkt_residuals})")
 
-    l = y.size
     s = problem.combined(sol.z)
     beta = s * y
     scores_wo_b = G @ beta          # sum_i beta_i k(x_i, x_j), no bias
@@ -171,13 +170,8 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
     gap_rel = abs(primal_value - dual_value) / (1.0 + abs(dual_value))
 
     keep = np.abs(s) > params.active_threshold * params.c0
-    pruned = ~keep
-    if pruned.any() and keep.any():
-        delta = np.abs(G[:, pruned] @ beta[pruned]).max()
-        if delta > 1e-6:
-            keep = np.ones(l, dtype=bool)   # pruning would move scores
-    elif not keep.any():
-        keep = np.ones(l, dtype=bool)
+    if not keep.any() or np.abs(G[:, ~keep] @ beta[~keep]).max() > 1e-6:
+        keep = np.ones(y.size, dtype=bool)
 
     diagnostics = {
         "kkt_max_residual": max(report.values()),

@@ -200,6 +200,11 @@ class TestTrainCommand:
             == cli.EXIT_USAGE
         assert cli.main(base + ["--taus", "zero", "--epsilons", "0"]) \
             == cli.EXIT_USAGE
+        # values LossSpec refuses
+        assert cli.main(base + ["--taus", "nan", "--epsilons", "0"]) \
+            == cli.EXIT_USAGE
+        assert cli.main(base + ["--taus", "0", "--epsilons", "inf"]) \
+            == cli.EXIT_USAGE
         capsys.readouterr()
 
     @pytest.mark.parametrize("q", ["inf", "nan"])
@@ -352,6 +357,10 @@ class TestLossCurve:
                       ["--range", "0:1", "--step", "1e-12"]):
             assert cli.main(["loss-curve", "--taus", "0", "--epsilons", "0",
                              *flags]) == cli.EXIT_USAGE, flags
+        # loss values LossSpec refuses
+        for flags in (["--taus", "nan", "--epsilons", "0"],
+                      ["--taus", "0", "--epsilons", "inf"]):
+            assert cli.main(["loss-curve", *flags]) == cli.EXIT_USAGE, flags
         capsys.readouterr()
 
 
@@ -467,6 +476,38 @@ class TestGridSearchCommand:
         assert cli.main(args) == 0
         assert capsys.readouterr().out == with_seed_7
         assert with_seed_7 != with_seed_8
+
+    def test_predefined_split_reads_no_seed(self, monk3_files, capsys,
+                                            monkeypatch):
+        # a predefined split is not seeded, so KPLSVM_SEED is not read
+        monkeypatch.setenv("KPLSVM_SEED", "abc")
+        code = cli.main(["grid-search", "--data",
+                         str(monk3_files["corpus"] / "monk3.csv"),
+                         "--n-train", "122", "--predefined-split",
+                         "--criterion", "holdout", "--c0-grid", "1",
+                         "--tau-grid", "0", "--eps-grid", "0"])
+        assert code == 0
+        assert "stage 1: C0 = 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [("--c0-grid", "-1"),
+                                       ("--q-grid", "nan"),
+                                       ("--tau-grid", "0.4,0"),
+                                       ("--eps-grid", "")])
+    @pytest.mark.parametrize("command", ["grid-search", "bench"])
+    def test_refused_grid_is_usage_error(self, command, flags, monk3_files,
+                                         tmp_path, capsys):
+        # GridSpec refuses the values; the flag, not the data, is at fault
+        if command == "grid-search":
+            args = ["grid-search", "--data",
+                    str(monk3_files["corpus"] / "monk3.csv"),
+                    "--n-train", "122", "--kernel", "rbf"]
+        else:
+            args = ["bench", "--manifest",
+                    str(monk3_files["corpus"] / "manifest.csv"),
+                    "--outdir", str(tmp_path / "rep"), "--kernel", "rbf"]
+        assert cli.main(args + list(flags)) == cli.EXIT_USAGE
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_negative_seed_flag_is_usage_error(self, monk3_files, capsys):
         with pytest.raises(SystemExit) as exc:

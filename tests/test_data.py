@@ -174,11 +174,14 @@ class TestNormalizer:
         with pytest.raises(DataError, match="non-finite"):
             tr.apply(X[0])
 
-    @pytest.mark.parametrize("X", [[1.0, 2.0, 3.0], np.zeros((0, 3))],
-                             ids=["1-d", "empty"])
-    def test_fit_needs_a_nonempty_2d_block(self, X):
+    @pytest.mark.parametrize("X, match", [
+        ([1.0, 2.0, 3.0], "nonempty 2-d"),
+        (np.zeros((0, 3)), "nonempty 2-d"),
+        ([[1.0, 2.0], [3.0]], "real numbers"),
+    ], ids=["1-d", "empty", "ragged"])
+    def test_fit_needs_a_nonempty_2d_block(self, X, match):
         # a 1-d X is one row elsewhere, but a fit needs a block of samples
-        with pytest.raises(DataError, match="nonempty 2-d"):
+        with pytest.raises(DataError, match=match):
             data.fit_normalizer(X)
 
     @pytest.mark.parametrize("shape, out_shape", [((0, 3), (0, 3)),
@@ -268,6 +271,10 @@ class TestSplit:
         a = data.split_dataset(ds, 150, seed=None)
         monkeypatch.delenv("KPLSVM_SEED")
         b = data.split_dataset(ds, 150, seed=9)
+        assert a[0].tolist() == b[0].tolist()
+        # unset, the default seed is 0
+        a = data.split_dataset(ds, 150, seed=None)
+        b = data.split_dataset(ds, 150, seed=0)
         assert a[0].tolist() == b[0].tolist()
 
     def test_negative_seed_rejected(self, monkeypatch):
@@ -422,6 +429,17 @@ class TestCorpus:
             data.Dataset(X, y, split=([0], [9]))
         with pytest.raises(DataError, match="train indices"):
             data.Dataset(X, y, split=([0, 4], [1]))
+        # row numbers are integers: none is rounded or taken as 0/1
+        for split, match in ((([0.5, 1.9], [2.2]), "train indices"),
+                             (([0], np.array([2.0, 3.0])), "test indices"),
+                             (([True, False], [2]), "train indices"),
+                             (([True, 2], [3]), "train indices"),
+                             ((["a"], [1]), "train indices"),
+                             (([[0], [1, 2]], [3]), "train indices"),
+                             (([0], 3), "test indices"),
+                             (([0], [1], [2]), "a \\(train, test\\) pair")):
+            with pytest.raises(DataError, match=match):
+                data.Dataset(X, y, split=split)
 
     @pytest.mark.parametrize("X, y, match", [
         (np.zeros(4), [1.0, -1.0, 1.0, -1.0], "2-d"),

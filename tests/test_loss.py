@@ -371,6 +371,12 @@ class TestProperties:
                 loss.LossSpec(taus=(bad,), epsilons=(0.0,))
             with pytest.raises(RepresentationError, match="finite"):
                 loss.LossSpec(taus=(0.0,), epsilons=(bad,))
+        # and what is no sequence of them
+        for bad in (None, 0.5, np.float64(0.5)):
+            with pytest.raises(RepresentationError, match="finite"):
+                loss.LossSpec(taus=bad, epsilons=(0.0,))
+            with pytest.raises(RepresentationError, match="finite"):
+                loss.LossSpec(taus=(), epsilons=bad)
 
 
 class TestFamilyInvariants:

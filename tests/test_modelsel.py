@@ -73,6 +73,9 @@ class TestGridSpec:
         dict(c0_grid=("a",)),
         dict(tau_grid=("0.5",)),
         dict(q_grid=(True,)),
+        dict(c0_grid=None),
+        dict(c0_grid=1.0),
+        dict(eps_grid=np.float64(0.5)),
     ])
     def test_validation(self, bad):
         with pytest.raises(DataError):

@@ -325,8 +325,9 @@ class TestFaceSolve:
         """(nu, gradient on the face) after checking the face KKT system."""
         idx = np.flatnonzero(free)
         with np.errstate(all="raise"):
-            z, nu = qp._solve_face(problem, free)
+            z, nu, qz = qp._solve_face(problem, free)
         assert np.all(z[~free] == 0.0)
+        np.testing.assert_array_equal(qz, problem.q_mul(z))
         Q, A = dense_qa(problem)
         m = problem.m_eq
         K = np.block([[Q[idx], -A.T[idx]], [A, np.zeros((m, m))]])
