@@ -406,10 +406,8 @@ def _fuse_list_flags(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_fuse_list_flags(list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_fuse_list_flags(argv))
     try:
         return args.func(args)
     except UsageError as exc:

@@ -47,7 +47,7 @@ class Dataset:
     def __post_init__(self):
         self.X, self.y = as_labelled(self.X, self.y)
         if self.split is not None:
-            if len(self.split) != 2:
+            if not hasattr(self.split, "__len__") or len(self.split) != 2:
                 raise DataError("split must be a (train, test) pair")
             tr, te = (_row_numbers(s, self.y.size, name)
                       for s, name in zip(self.split, ("train", "test")))

@@ -250,14 +250,15 @@ def _run_cells(cells, scorer, kernel_kind):
 
 
 def _pick_best(records):
-    """First strictly-best record: earlier grid order wins ties."""
-    best = None
-    for rec in records:
-        if rec.accuracy is None:
-            continue
-        if best is None or rec.accuracy > best.accuracy:
-            best = rec
-    return best
+    """First best record that trained: earlier grid order wins ties."""
+    return max((rec for rec in records if rec.accuracy is not None),
+               key=lambda rec: rec.accuracy, default=None)
+
+
+def _check_kernel_kind(kernel_kind):
+    if kernel_kind not in KERNEL_KINDS:
+        raise DataError(f"kernel_kind must be {' or '.join(KERNEL_KINDS)}, "
+                        f"got {kernel_kind!r}")
 
 
 def staged_search(dataset, kernel_kind="linear", grids=None,
@@ -275,9 +276,7 @@ def staged_search(dataset, kernel_kind="linear", grids=None,
     Open item 6) and changes nothing until then.
     """
     check_integer(jobs, 1, DataError, "jobs must be at least 1 (int)")
-    if kernel_kind not in KERNEL_KINDS:
-        raise DataError(f"kernel_kind must be {' or '.join(KERNEL_KINDS)}, "
-                        f"got {kernel_kind!r}")
+    _check_kernel_kind(kernel_kind)
     if criterion not in ("cv", "holdout"):
         raise DataError(f"unknown criterion {criterion!r}")
     check_integer(folds, 2, DataError, "folds must be >= 2")
@@ -422,6 +421,7 @@ def benchmark_run(manifest, outdir, grids=None, kernel_kind="linear",
     repeated runs are byte-identical.
     """
     check_integer(jobs, 1, DataError, "jobs must be at least 1 (int)")
+    _check_kernel_kind(kernel_kind)
     entries = load_manifest(manifest)
     absent = sorted(set(include or ()) - {entry.name for entry in entries})
     if absent:

@@ -437,7 +437,8 @@ class TestCorpus:
                              ((["a"], [1]), "train indices"),
                              (([[0], [1, 2]], [3]), "train indices"),
                              (([0], 3), "test indices"),
-                             (([0], [1], [2]), "a \\(train, test\\) pair")):
+                             (([0], [1], [2]), "a \\(train, test\\) pair"),
+                             (5, "a \\(train, test\\) pair")):
             with pytest.raises(DataError, match=match):
                 data.Dataset(X, y, split=split)
 

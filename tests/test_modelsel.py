@@ -288,7 +288,7 @@ class TestStagedSearch:
 
     def test_input_validation(self):
         ds = blob_dataset()
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="kernel_kind must be"):
             staged_search(ds, "poly", TINY)
         with pytest.raises(DataError):
             staged_search(ds, "linear", TINY, criterion="bootstrap")
@@ -548,6 +548,11 @@ class TestBenchmarkRun:
         assert by_fam["3pl"][10] == "replay"
         # fertility has no replay rows -> warning, not a crash
         assert any("fertility" in w for w in out["warnings"])
+        # an unknown kernel kind is refused before any dataset is read
+        with pytest.raises(DataError, match="kernel_kind must be"):
+            benchmark_run(corpus / "manifest.csv", tmp_path / "poly",
+                          kernel_kind="poly", replay=rp)
+        assert not (tmp_path / "poly").exists()
 
     @pytest.mark.parametrize("kernel_kind", ["linear", "rbf"])
     def test_records_csv_replays_every_cell(self, kernel_kind, tmp_path):

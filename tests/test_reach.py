@@ -31,12 +31,3 @@ class C:
 '''
     assert reach.statements(source) == {2, 3, 6, 9, 10, 11, 15, 17}
 
-
-def test_allowed_lines_exist_in_the_package():
-    for (module, text), test in reach.ALLOWED.items():
-        with open(os.path.join(reach.PACKAGE, module),
-                  encoding="utf-8") as fh:
-            assert text in {line.strip() for line in fh}, (module, text)
-        path, _, name = test.partition("::")
-        with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
-            assert f"def {name.split('::')[-1]}(" in fh.read(), test

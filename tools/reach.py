@@ -6,10 +6,11 @@ saw with the package's statements, counted from each module's AST.  A
 docstring and a ``global`` statement compile to no instruction, so a
 line tracer never reports them, and they are not counted.
 
-Exits 1 when a statement ran nowhere and is not in ``ALLOWED``, when an
-``ALLOWED`` entry matches no unexecuted statement (it is stale), or when
-a module records no executed line at all; exits with pytest's code if
-the suite itself fails.  Run it from the repository root:
+The tracer sees only this process, so a statement that runs only in a
+child process counts as never run.  Exits 1 when a statement ran
+nowhere or a module records no executed line at all; exits with
+pytest's code if the suite itself fails.  Run it from the repository
+root:
 
     python tools/reach.py            # extra arguments go to pytest
 
@@ -29,16 +30,6 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "kplsvm")
-
-#: Statements that run only in a child process, which the tracer does
-#: not follow: (module, the statement's first source line, stripped) ->
-#: the test that runs it.
-ALLOWED = {
-    ("cli.py", "argv = sys.argv[1:]"):
-        "tests/test_cli.py::TestEntryPoint::test_module_invocation",
-    ("cli.py", "sys.exit(main())"):
-        "tests/test_cli.py::TestEntryPoint::test_module_invocation",
-}
 
 PYTEST_ARGS = ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
                "--continue-on-collection-errors"]
@@ -86,11 +77,7 @@ def trace(args) -> tuple[int, dict[str, set[int]]]:
         seen[code.co_filename].add(frame.f_lineno)
         return local
 
-    # as the tier-1 command does, so that child processes import it too
-    src = os.path.join(ROOT, "src")
-    os.environ["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))
-    sys.path.insert(0, src)
+    sys.path.insert(0, os.path.join(ROOT, "src"))
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
@@ -111,8 +98,7 @@ def main(argv=None) -> int:
     if code != 0:
         print(f"reach: the suite failed (pytest exit {code})")
         return code
-    failures, total, missed_total = [], 0, 0
-    allowed_hit = set()
+    failures, total, ran_total = [], 0, 0
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
             continue
@@ -122,20 +108,14 @@ def main(argv=None) -> int:
         stmts = statements(source)
         ran = executed.get(name, set())
         total += len(stmts)
+        ran_total += len(stmts & ran)
         if not ran:
             failures.append(f"{name}: no executed line")
             continue
-        for lineno in sorted(stmts - ran):
-            missed_total += 1
-            key = (name, lines[lineno - 1].strip())
-            if key in ALLOWED:
-                allowed_hit.add(key)
-            else:
-                failures.append(f"{name}:{lineno}: never ran: {key[1]}")
-    for key in sorted(set(ALLOWED) - allowed_hit):
-        failures.append(f"{key[0]}: stale allow-list entry {key[1]!r}")
-    print(f"reach: {total - missed_total} of {total} statements ran; "
-          f"{len(allowed_hit)} allowed (child process only)")
+        failures.extend(f"{name}:{lineno}: never ran: "
+                        f"{lines[lineno - 1].strip()}"
+                        for lineno in sorted(stmts - ran))
+    print(f"reach: {ran_total} of {total} statements ran")
     for line in failures:
         print(f"reach: {line}")
     return 1 if failures else 0
