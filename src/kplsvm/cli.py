@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from . import modelsel
-from .data import load_dataset, split_dataset
+from .data import load_dataset, split_dataset, write_rows
 from .datasets import CORPUS_TABLE, write_corpus
 from .errors import (DataError, KplsvmError, RepresentationError,
                      check_integer, check_real)
@@ -161,20 +161,10 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _write_text(text, out):
-    """Write ``text`` to the file ``out``, or to stdout when it is None."""
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
 def cmd_predict(args):
     model = load_model(args.model)
     ds = _load(args)
-    _write_text("".join(f"{int(v):d}\n" for v in model.predict(ds.X)),
-                args.out)
+    write_rows(args.out, [(int(v),) for v in model.predict(ds.X)])
     return EXIT_OK
 
 
@@ -185,7 +175,7 @@ def cmd_eval(args):
     line = f"{acc:.3f}"
     print(line)
     if args.out is not None:
-        _write_text(line + "\n", args.out)
+        write_rows(args.out, [(line,)])
     return EXIT_OK
 
 
@@ -250,10 +240,9 @@ def cmd_loss_curve(args):
         raise UsageError(f"--range and --step give {n} points; "
                          "at most 1000000 are allowed")
     us = lo + args.step * np.arange(n)
-    vals = eval_loss(loss, us)
-    lines = ["u,loss"] + [f"{float(u)!r},{float(v)!r}"
-                          for u, v in zip(us, vals)]
-    _write_text("\n".join(lines) + "\n", args.out)
+    # Python floats, which the csv module writes in shortest repr
+    write_rows(args.out, [("u", "loss"),
+                          *zip(us.tolist(), eval_loss(loss, us).tolist())])
     return EXIT_OK
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +84,8 @@ def _map_labels(raw_labels: list) -> tuple[np.ndarray, dict]:
     The numerically (or, failing that, lexicographically) smaller
     original label becomes -1.  Covers 0/1, 1/2, and +-1 conventions.
     """
+    if any(v != v for v in raw_labels):         # NaN, equal to no label
+        raise DataError("a label is NaN")
     uniq = sorted(set(raw_labels), key=lambda v: (isinstance(v, str), v))
     if len(uniq) != 2:
         raise DataError(
@@ -109,6 +113,15 @@ def open_text(path):
             yield fh
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def write_rows(path, rows):
+    """Write ``rows`` as CSV, UTF-8 with LF line ends, to the file ``path``,
+    or to stdout when it is None: the one writer of every table kplsvm
+    outputs.  Build the rows first, so that a refused table makes no file."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="")) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def load_csv(path, label_col: int = 0, name: str | None = None) -> Dataset:

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, load_dataset, open_text, split_dataset
+from .data import (Dataset, load_dataset, open_text, split_dataset,
+                   write_rows)
 from .errors import DataError
 
 __all__ = [
@@ -185,24 +186,15 @@ def write_corpus(outdir, include=None):
             X, y01 = make_standin(row.name, row.rows, row.features, seed=0,
                                   binary=row.binary)
             seed_field = None if row.predefined else 0
-        _write_csv(path, X, y01)
+        write_rows(path, [(int(label), *map(_fmt, feats))
+                          for label, feats in zip(y01, X)])
         entries.append(ManifestEntry(row.name, fname, "csv", row.n_train,
                                      seed_field))
-    manifest = os.path.join(outdir, "manifest.csv")
-    with open(manifest, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", "path", "format", "n_train", "seed"])
-        for e in entries:
-            writer.writerow([e.name, e.path, e.format, e.n_train,
-                             "" if e.seed is None else e.seed])
+    write_rows(os.path.join(outdir, "manifest.csv"),
+               [("name", "path", "format", "n_train", "seed")]
+               + [(e.name, e.path, e.format, e.n_train,
+                   "" if e.seed is None else e.seed) for e in entries])
     return entries
-
-
-def _write_csv(path, X, y01):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for label, feats in zip(y01, X):
-            writer.writerow([int(label)] + [_fmt(v) for v in feats])
 
 
 def _fmt(v: float):

@@ -127,14 +127,22 @@ def model_from_dict(doc: dict) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path) -> str:
-    """Write the model atomically (write-then-rename); returns ``path``."""
+    """Write the model atomically (write-then-rename); returns ``path``.
+
+    The document is one line, from the C encoder.  A write or rename that
+    fails removes the temporary file and re-raises.
+    """
     path = os.fspath(path)
-    doc = model_to_dict(model)
+    text = json.dumps(model_to_dict(model)) + "\n"
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
     return path
 
 

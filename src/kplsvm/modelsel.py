@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import as_labelled, as_rows, open_text
+from .data import as_labelled, as_rows, open_text, write_rows
 from .datasets import load_manifest, resolve_split
 from .errors import DataError, KplsvmError, check_integer, check_reals
 from .kernels import KERNEL_KINDS, KernelSpec
@@ -307,7 +307,6 @@ def staged_search(dataset, kernel_kind="linear", grids=None,
                            scorer, kernel_kind)
         records.extend(cells)
         best[family] = _pick_best(cells)
-    best[EXTERNAL_SLOT] = None
 
     return GridSearchReport(dataset=dataset.name, kernel_kind=kernel_kind,
                             criterion=crit_label, chosen_c0=chosen_c0,
@@ -341,17 +340,10 @@ def _report_row(dataset_name, family, criterion, rec=None, timing=False):
             + _param_fields(rec) + (criterion,))
 
 
-def _open_csv(path):
-    return open(path, "w", encoding="utf-8", newline="")
-
-
 def _write_records_csv(path, dataset_name, criterion, records, timing):
-    with _open_csv(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(REPORT_COLUMNS + ("error",))
-        for rec in records:
-            w.writerow(_report_row(dataset_name, rec.family, criterion, rec,
-                                   timing) + (rec.error or "",))
+    write_rows(path, [REPORT_COLUMNS + ("error",)] + [
+        _report_row(dataset_name, rec.family, criterion, rec, timing)
+        + (rec.error or "",) for rec in records])
 
 
 def _consolidated_rows(report, timing):
@@ -398,7 +390,6 @@ def _replay_dataset(dataset, rows, kernel_kind):
     scorer = _Scorer(dataset, "holdout", folds=None)
     records = _run_cells(rows, scorer, kernel_kind)
     best = {rec.family: rec for rec in records}
-    best[EXTERNAL_SLOT] = None
     return GridSearchReport(dataset=dataset.name, kernel_kind=kernel_kind,
                             criterion="replay", chosen_c0=None, chosen_q=None,
                             records=records, best=best)
@@ -459,8 +450,5 @@ def benchmark_run(manifest, outdir, grids=None, kernel_kind="linear",
         rows.extend(_consolidated_rows(report, timing))
 
     out = os.path.join(outdir, "consolidated.csv")
-    with _open_csv(out) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(REPORT_COLUMNS)
-        w.writerows(rows)
+    write_rows(out, [REPORT_COLUMNS, *rows])
     return {"consolidated": out, "datasets": per_dataset, "warnings": warnings}

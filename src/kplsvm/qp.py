@@ -101,9 +101,10 @@ class QpProblem:
 
     @cached_property
     def lower(self) -> bool:
-        """W is square and lower triangular, as ``gram_factor`` gives it."""
+        """W is square and lower triangular, as ``gram_factor`` gives it;
+        tested in place, with no l x l temporary."""
         W = self.W
-        return W.shape[0] == W.shape[1] and not np.triu(W, 1).any()
+        return W.shape[0] == W.shape[1] and scipy.linalg.bandwidth(W)[1] == 0
 
     def combined(self, z: np.ndarray) -> np.ndarray:
         """s = Dz, the per-sample combined coefficients."""
@@ -309,6 +310,7 @@ def _interior_point(problem: QpProblem, tol: float, max_iter: int):
             break
 
         d = mu / np.maximum(z, 1e-280)
+        factor = None           # free the last factor before the next
         try:
             factor = _factorize(problem, d)
             # predictor (affine scaling) direction

@@ -66,6 +66,14 @@ class TestModelIO:
             p2 = tmp_path / f"m{rbf}_again.json"
             model_io.save_model(loaded, p2)
             assert p.read_bytes() == p2.read_bytes()
+            # one line; a file indented as earlier versions wrote it loads
+            text = p.read_text(encoding="utf-8")
+            assert text.count("\n") == 1 and text.endswith("}\n")
+            p.write_text(json.dumps(json.loads(text), indent=1) + "\n",
+                         encoding="utf-8")
+            assert np.array_equal(
+                model.decision_function(X),
+                model_io.load_model(p).decision_function(X))
 
     def test_unknown_version_rejected(self, tmp_path):
         model, _ = self.fit_small()
@@ -145,6 +153,19 @@ class TestModelIO:
         with pytest.raises(OSError):
             model_io.save_model(model, tmp_path / "no_dir" / "m.json")
         assert p.read_bytes() == before
+        # a rename onto a directory fails, and takes the temporary file
+        # with it; so does a document the encoder refuses
+        target = tmp_path / "dir.model"
+        target.mkdir()
+        with pytest.raises(OSError):
+            model_io.save_model(model, target)
+        assert target.is_dir() and not any(target.iterdir())
+        model.diagnostics["bad"] = object()
+        with pytest.raises(TypeError):
+            model_io.save_model(model, p)
+        assert p.read_bytes() == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["dir.model",
+                                                              "m.json"]
 
     def test_diagnostics_survive_as_plain_json(self, tmp_path):
         model, _ = self.fit_small()
@@ -269,8 +290,14 @@ class TestPredictEval:
                                               monk3_files, tmp_path, capsys):
         assert cli.main(["predict", "--model", str(trained_model),
                          "--data", str(monk3_files["test"])]) == 0
-        n_lines = len(capsys.readouterr().out.splitlines())
-        assert n_lines == 432
+        printed = capsys.readouterr().out
+        assert len(printed.splitlines()) == 432
+        # one writer: the file holds the bytes stdout got
+        pred_file = tmp_path / "preds.txt"
+        assert cli.main(["predict", "--model", str(trained_model),
+                         "--data", str(monk3_files["test"]),
+                         "--out", str(pred_file)]) == 0
+        assert pred_file.read_bytes() == printed.encode()
         acc_file = tmp_path / "acc.txt"
         assert cli.main(["eval", "--model", str(trained_model),
                          "--data", str(monk3_files["test"]),
@@ -281,8 +308,11 @@ class TestPredictEval:
     def test_dimension_mismatch(self, trained_model, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,0.5\n0,0.25\n", encoding="utf-8")
+        out = tmp_path / "preds.txt"
         assert cli.main(["predict", "--model", str(trained_model),
-                         "--data", str(bad)]) == cli.EXIT_DATA
+                         "--data", str(bad), "--out", str(out)]) \
+            == cli.EXIT_DATA
+        assert not out.exists()         # refused before the file opens
         capsys.readouterr()
 
     def test_malformed_model_is_data_error(self, trained_model, monk3_files,

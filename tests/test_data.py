@@ -66,6 +66,18 @@ class TestCsvLoader:
         with pytest.raises(DataError, match="2 label values"):
             data.load_csv(p)
 
+    @pytest.mark.parametrize("name, text, kwargs", [
+        ("t.csv", "nan,1.0\nnan,2.0\n", {}),
+        ("t.csv", "nan,1.0\n1,2.0\n", {}),
+        ("t.svm", "nan 1:1\nnan 1:2\n", {"fmt": "libsvm"}),
+    ], ids=["two-nan-rows", "nan-and-one", "libsvm"])
+    def test_nan_label_rejected(self, tmp_path, name, text, kwargs):
+        # NaN equals no label, itself included: two NaN rows loaded as
+        # two classes
+        p = write(tmp_path, name, text)
+        with pytest.raises(DataError, match="NaN"):
+            data.load_dataset(p, **kwargs)
+
 
     @pytest.mark.parametrize("name, text, kwargs, match", [
         ("t.csv", "\n  \n", {}, "empty file"),

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from kplsvm import blas, kernels, loss, qp, trainer
 from kplsvm.data import Dataset
+from kplsvm.datasets import make_standin
 from kplsvm.errors import DataError, TrainingError
 from kplsvm.kernels import KernelSpec
 from kplsvm.loss import LossSpec
@@ -420,6 +421,22 @@ class TestFactorChoice:
         assert seen == [(12, 12)] * calls
         assert m.diagnostics["kkt_max_residual"] <= 1e-6
         assert m.diagnostics["duality_gap_rel"] <= 1e-5
+
+    def test_rbf_train_memory_peak(self):
+        # G, W and one Newton factor: 4.2 l^2 doubles at l = 500.  Holding
+        # the last iteration's factor, or an np.triu copy of W to test it
+        # for a triangle, takes the peak to 5.2 l^2.
+        X, y01 = make_standin("spambase", 4601, 56, seed=0)
+        l = 500
+        params = TrainParams(loss=LossSpec((-0.4, 0.4), (0.5, -1.0)), c0=1.0,
+                             kernel=KernelSpec("rbf", q=1.0))
+        tracemalloc.start()
+        try:
+            train(X[:l], np.where(y01[:l] == 1, 1.0, -1.0), params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.6 * 8 * l * l
 
 
 class TestSupportPruning:
