@@ -227,9 +227,12 @@ class NormalizationTransform:
         """Each row of X mapped; X passes ``as_rows`` at the fit's width."""
         X = as_rows(X, self.mins.size)
         span = self.maxs - self.mins
-        out = np.zeros_like(X)
-        nz = span > 0
-        out[:, nz] = 2.0 * (X[:, nz] - self.mins[nz]) / span[nz] - 1.0
+        # in place, in the order of 2 (x - min) / span - 1
+        out = X - self.mins
+        out *= 2.0
+        out /= np.where(span > 0, span, 1.0)
+        out -= 1.0
+        out[:, span <= 0] = 0.0
         return out
 
 

@@ -9,6 +9,7 @@ coefficient bit-for-bit and therefore every prediction.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import json
 import os
@@ -129,16 +130,23 @@ def model_from_dict(doc: dict) -> TrainedModel:
 def save_model(model: TrainedModel, path) -> str:
     """Write the model atomically (write-then-rename); returns ``path``.
 
-    The document is one line, from the C encoder.  A write or rename that
-    fails removes the temporary file and re-raises.
+    The document is one line, from the C encoder: everything but
+    ``support_x`` is encoded first, and the support rows are written
+    one row at a time, so no string of the whole document is held.  A
+    write or rename that fails removes the temporary file and re-raises.
     """
     path = os.fspath(path)
-    text = json.dumps(model_to_dict(model)) + "\n"
+    doc = model_to_dict(dataclasses.replace(model, support_x=np.empty((0, 0))))
+    head, key, tail = json.dumps(doc).partition('"support_x": []')
+    rows = np.asarray(model.support_x, dtype=float)
     tmp = f"{path}.tmp"
     fh = open(tmp, "w", encoding="utf-8", newline="\n")
     try:
         with fh:
-            fh.write(text)
+            fh.write(head + key[:-1])          # up to the rows' "["
+            for i, row in enumerate(rows):
+                fh.write((", " if i else "") + json.dumps(row.tolist()))
+            fh.write("]" + tail + "\n")
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

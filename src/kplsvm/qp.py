@@ -510,19 +510,23 @@ def _factorize(problem: QpProblem, d: np.ndarray):
 
     p = W.T @ (y * gamma)
     Wg = W * np.sqrt(gamma)[:, None]
+    # K is Fortran-ordered, so dpotrf factors it in place from the triangle
+    # that holds it: no l x l copy
     if problem.lower:
         # Wg' is upper triangular and Fortran-ordered: dlauum overwrites
-        # its upper triangle with Wg'Wg, dsyr subtracts pp'/sigma there,
-        # and the transpose is that triangle read as lower
+        # its upper triangle with Wg'Wg, and dsyr subtracts pp'/sigma there
         U, info = _lauum(Wg.T, lower=0, overwrite_c=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dlauum failed with info = {info}")
-        K = _syr(-1.0 / sigma, p, lower=0, a=U, overwrite_a=1).T
+        K, triangle = _syr(-1.0 / sigma, p, lower=0, a=U, overwrite_a=1), 0
     else:
+        # Wg'Wg is exactly symmetric, so the lower triangle of K' holds
+        # Wg'Wg - p (p/sigma)', the products in that order
         K = Wg.T @ Wg
-        K -= np.multiply.outer(p, p / sigma)
+        K -= np.multiply.outer(p / sigma, p)
+        K, triangle = K.T, 1
     K.flat[::K.shape[0] + 1] += 1.0
-    K_solve = _cholesky(K)
+    K_solve = _cholesky(K, triangle, overwrite=1)
 
     def solve_kkt(r1: np.ndarray, r2: np.ndarray):
         u = pinv * r1
@@ -541,12 +545,13 @@ def _factorize(problem: QpProblem, d: np.ndarray):
     return solve_kkt
 
 
-def _cholesky(A: np.ndarray):
-    """v -> A^-1 v for the SPD A: dpotrs over A's lower Cholesky factor
-    (dpotrf, into a copy), and an empty v passed through, as dpotrs
-    rejects it.  LinAlgError unless dpotrf's info is 0: A not positive
-    definite, or an illegal argument."""
-    L, info = _potrf(A, lower=1, clean=0)
+def _cholesky(A: np.ndarray, lower: int = 1, overwrite: int = 0):
+    """v -> A^-1 v for the SPD A: dpotrs over the Cholesky factor of A's
+    lower (or upper) triangle, and an empty v passed through, as dpotrs
+    rejects it.  dpotrf factors into a copy, or in A itself when
+    ``overwrite`` and A is Fortran-ordered.  LinAlgError unless dpotrf's
+    info is 0: A not positive definite, or an illegal argument."""
+    F, info = _potrf(A, lower=lower, clean=0, overwrite_a=overwrite)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotrf failed with info = {info}")
-    return lambda v: _potrs(L, v, lower=1)[0] if v.size else v
+    return lambda v: _potrs(F, v, lower=lower)[0] if v.size else v

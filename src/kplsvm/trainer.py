@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blas, kernels, loss, qp
-from .data import (NormalizationTransform, as_labelled, as_rows,
-                   fit_normalizer)
+from .data import NormalizationTransform, as_labelled, fit_normalizer
 from .errors import TrainingError, check_integer, check_real
 from .kernels import KernelSpec
 from .loss import LossSpec
@@ -68,12 +67,6 @@ class TrainParams:
             raise TrainingError("loss must have at least one non-identity piece")
 
 
-# Cross-Gram entries per row block of an RBF predict: 2**18 doubles, 2 MB.
-# ``cross_gram`` holds the block and one product of its size, so a predict
-# works in about 4 MB, a cache-sized working set, whatever its row count.
-_PREDICT_BLOCK_ENTRIES = 1 << 18
-
-
 @dataclass
 class TrainedModel:
     kernel: KernelSpec
@@ -92,17 +85,11 @@ class TrainedModel:
         Memory beyond X and f does not grow with the row count: a linear
         model scores through w = support_x' beta, derived on each call,
         and an RBF model fills f in row blocks of at most 2**18
-        cross-Gram entries.
+        cross-Gram entries (``kernels.cross_gram_dot``).
         """
-        X = (self.normalizer.apply(X) if self.normalizer is not None
-             else as_rows(X, self.support_x.shape[1]))
-        if self.kernel.kind == "linear":
-            return X @ (self.support_x.T @ self.beta) + self.bias
-        rows = max(1, _PREDICT_BLOCK_ENTRIES // max(1, self.beta.size))
-        f = np.empty(X.shape[0])
-        for i in range(0, X.shape[0], rows):
-            f[i:i + rows] = kernels.cross_gram(
-                self.kernel, X[i:i + rows], self.support_x) @ self.beta
+        if self.normalizer is not None:
+            X = self.normalizer.apply(X)
+        f = kernels.cross_gram_dot(self.kernel, X, self.support_x, self.beta)
         f += self.bias
         return f
 
@@ -145,7 +132,11 @@ def _train(X, y, params: TrainParams, normalize: bool) -> TrainedModel:
     C = _class_caps(y, params.c0, params.balance_classes)
     G = kernels.gram(params.kernel, Xn)
     thin = params.kernel.kind == "linear" and Xn.shape[1] < y.size
-    W = y[:, None] * (Xn if thin else qp.gram_factor(G))   # WW' = (yy') o G
+    if thin:
+        W = y[:, None] * Xn                     # WW' = (yy') o G
+    else:
+        W = qp.gram_factor(G)                   # a fresh array: scaled in place
+        W *= y[:, None]
 
     problem = qp.assemble_dual(W, y, C, spec)
     sol = qp.solve(problem, tol=params.qp_tol, max_iter=params.max_iter)

@@ -3,11 +3,12 @@
 import json
 import runpy
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kplsvm import cli, model_io, modelsel, qp
+from kplsvm import cli, data, model_io, modelsel, qp
 from kplsvm.data import load_csv
 from kplsvm.errors import DataError, TrainingError
 from kplsvm.kernels import KernelSpec
@@ -166,6 +167,32 @@ class TestModelIO:
         assert p.read_bytes() == before
         assert sorted(f.name for f in tmp_path.iterdir()) == ["dir.model",
                                                               "m.json"]
+
+    def test_save_streams_the_support_rows(self, tmp_path):
+        # the file is the one-line document, but its support rows are
+        # encoded one at a time: the whole document's string list of an
+        # 800 x 56 model peaks at about 6.4 MB
+        rng = np.random.default_rng(5)
+        model, _ = self.fit_small(rbf=True)
+        model.support_x = rng.uniform(-1.0, 1.0, size=(800, 56))
+        model.beta = rng.normal(size=800)
+        model.normalizer = data.fit_normalizer(rng.normal(size=(4, 56)))
+        p = tmp_path / "m.json"
+        tracemalloc.start()
+        try:
+            model_io.save_model(model, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.read_bytes() == (
+            json.dumps(model_io.model_to_dict(model)) + "\n").encode()
+        assert peak < 3e6
+        for rows in (1, 0):
+            model.support_x = model.support_x[:rows]
+            model.beta = model.beta[:rows]
+            model_io.save_model(model, p)
+            assert p.read_bytes() == (
+                json.dumps(model_io.model_to_dict(model)) + "\n").encode()
 
     def test_diagnostics_survive_as_plain_json(self, tmp_path):
         model, _ = self.fit_small()

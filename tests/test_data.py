@@ -205,6 +205,31 @@ class TestNormalizer:
         assert (out == 0.0).all()
 
 
+    def test_apply_is_bit_identical_to_the_textbook_expression(self):
+        # apply works in place; each entry must still be the rounding of
+        # 2 (x - min) / span - 1 in that order, and 0 on a constant column
+        def textbook(tr, X):
+            X = data.as_rows(X, tr.mins.size)
+            span = tr.maxs - tr.mins
+            out = np.zeros_like(X)
+            nz = span > 0
+            out[:, nz] = 2.0 * (X[:, nz] - tr.mins[nz]) / span[nz] - 1.0
+            return out
+
+        rng = np.random.default_rng(11)
+        for trial in range(20):
+            n = int(rng.integers(1, 9))
+            scale = 10.0 ** rng.uniform(-3, 3, size=n)
+            fit = rng.normal(size=(int(rng.integers(1, 30)), n)) * scale
+            fit[:, rng.random(n) < 0.3] = rng.normal()     # constant columns
+            tr = data.fit_normalizer(fit)
+            for X in (rng.normal(size=(int(rng.integers(0, 50)), n)) * scale,
+                      np.zeros((0, n)), rng.normal(size=n) * scale, fit):
+                got, want = tr.apply(X), textbook(tr, X)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), trial
+
+
 class TestAsRows:
     def test_one_d_is_one_row(self):
         out = data.as_rows([1, 2, 3])

@@ -151,3 +151,64 @@ def test_linear_width_may_be_nonpositive():
     # files written before q was checked for a linear kernel stay loadable
     assert kernels.KernelSpec(kind="linear", q=0.0).q == 0.0
     assert kernels.KernelSpec(kind="linear", q=-1.0).q == -1.0
+
+
+@pytest.mark.parametrize("form", kernels.RBF_FORMS)
+def test_factor_block_matches_direct_reference(form):
+    # one product of augmented factors against exp(-sum (a-b)^2 / (2 q^2))
+    # (or its unsquared form) from the differences themselves; the product
+    # rounds at eps times the norms, so the bound on the exponent scales
+    # with them, and through the square root for the plain form
+    rng = np.random.default_rng(8)
+    A = rng.uniform(-1.0, 1.0, size=(30, 5))
+    B = np.vstack([rng.uniform(-1.0, 1.0, size=(20, 5)), A[:5],
+                   A[5:10] + rng.normal(scale=1e-3, size=(5, 5))])
+    d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+    eps = np.finfo(float).eps
+    err_d2 = 64 * eps * np.add.outer((A * A).sum(axis=1),
+                                                     (B * B).sum(axis=1))
+    for j in range(-7, 8):
+        q = 2.0 ** j
+        spec = kernels.KernelSpec("rbf", q=q, rbf_form=form)
+        if form == "squared-distance":
+            exponent, err = d2, err_d2
+        else:
+            exponent = np.sqrt(d2)
+            err = np.minimum(np.sqrt(err_d2),
+                             err_d2 / np.maximum(exponent, 1e-300))
+        with np.errstate(under="ignore"):
+            want = np.exp(-exponent / (2.0 * q * q))
+        err = err / (2.0 * q * q)
+        got = kernels.cross_gram(spec, A, B)
+        assert (got <= 1.0).all()
+        # and exp itself rounds, in both
+        bound = (np.expm1(err) + 4 * eps) * np.maximum(got, want) + 1e-300
+        assert (np.abs(got - want) <= bound).all(), q
+
+
+@pytest.mark.parametrize("form", kernels.RBF_FORMS)
+@pytest.mark.parametrize("q", [0.7, 1.0, 4.0])
+def test_cross_gram_of_a_copy_is_clipped(form, q):
+    # rounding leaves the product of a point's factors a few ulps from 0
+    # on either side; the clip keeps every entry at or below 1.  The plain
+    # form's square root turns those ulps into about 1e-8
+    X = np.random.default_rng(9).uniform(-1.0, 1.0, size=(200, 8))
+    G = kernels.cross_gram(kernels.KernelSpec("rbf", q=q, rbf_form=form),
+                           X, X.copy())
+    assert G.max() <= 1.0
+    atol = 1e-14 if form == "squared-distance" else 1e-7 / (2.0 * q * q)
+    np.testing.assert_allclose(np.diag(G), 1.0, rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_cross_gram_dot_is_the_block_times_v(spec):
+    rng = np.random.default_rng(10)
+    A, B = rng.normal(size=(7, 3)), rng.normal(size=(5, 3))
+    v = rng.normal(size=5)
+    np.testing.assert_allclose(kernels.cross_gram_dot(spec, A, B, v),
+                               kernels.cross_gram(spec, A, B) @ v,
+                               rtol=0.0, atol=1e-14)
+    assert kernels.cross_gram_dot(spec, A[0], B, v).shape == (1,)
+    assert kernels.cross_gram_dot(spec, np.zeros((0, 3)), B, v).shape == (0,)
+    with pytest.raises(DataError, match="expected 3 features, got 2"):
+        kernels.cross_gram_dot(spec, np.ones((2, 2)), B, v)

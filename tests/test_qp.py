@@ -273,7 +273,7 @@ class TestCholesky:
             qp._cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_failed_factorization_is_a_numerical_failure(self, monkeypatch):
-        def indefinite(A):
+        def indefinite(*args, **kwargs):
             raise np.linalg.LinAlgError("not positive definite")
 
         monkeypatch.setattr(qp, "_cholesky", indefinite)

@@ -423,9 +423,10 @@ class TestFactorChoice:
         assert m.diagnostics["duality_gap_rel"] <= 1e-5
 
     def test_rbf_train_memory_peak(self):
-        # G, W and one Newton factor: 4.2 l^2 doubles at l = 500.  Holding
-        # the last iteration's factor, or an np.triu copy of W to test it
-        # for a triangle, takes the peak to 5.2 l^2.
+        # G, W and one Newton matrix K, factored in place: 3.28 l^2 doubles
+        # at l = 500.  A copy for dpotrf, or y * W into a fresh array, adds
+        # an l^2; holding the last iteration's factor, or an np.triu copy
+        # of W to test it for a triangle, adds one more.
         X, y01 = make_standin("spambase", 4601, 56, seed=0)
         l = 500
         params = TrainParams(loss=LossSpec((-0.4, 0.4), (0.5, -1.0)), c0=1.0,
@@ -436,7 +437,7 @@ class TestFactorChoice:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.6 * 8 * l * l
+        assert peak <= 3.35 * 8 * l * l
 
 
 class TestSupportPruning:
@@ -475,7 +476,7 @@ class TestPredict:
     ], ids=["linear", "rbf-squared", "rbf-plain"])
     def test_block_boundaries(self, kernel):
         model = self.random_model(kernel)
-        rows = trainer._PREDICT_BLOCK_ENTRIES // model.beta.size
+        rows = kernels._PREDICT_BLOCK_ENTRIES // model.beta.size
         tol = 1e-12 * (1.0 + np.abs(model.beta).sum())
         rng = np.random.default_rng(1)
         for m in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3):
@@ -503,11 +504,28 @@ class TestPredict:
         np.testing.assert_allclose(f, full @ m.beta + m.bias, rtol=0.0,
                                    atol=1e-12 * (1.0 + np.abs(m.beta).sum()))
 
+    @pytest.mark.parametrize("form", ["squared-distance", "plain-distance"])
+    def test_rbf_predict_builds_the_support_factor_once(self, form,
+                                                        monkeypatch):
+        model = self.random_model(KernelSpec("rbf", q=0.7, rbf_form=form))
+        rows = kernels._PREDICT_BLOCK_ENTRIES // model.beta.size
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2 * rows + 3, 4))
+        real = kernels._factor
+        sides = []
+
+        def counting(spec, A, support=False):
+            sides.append(support)
+            return real(spec, A, support)
+
+        monkeypatch.setattr(kernels, "_factor", counting)
+        assert model.decision_function(X).shape == (2 * rows + 3,)
+        assert sides == [True, False, False, False]
+
     def test_rbf_predict_memory_is_one_block(self):
         # the full 20,000 x 400 cross-Gram and its distance array: 2 x 64 MB
         model = self.random_model(KernelSpec("rbf", q=0.7), support=400, n=3)
         X = np.random.default_rng(2).uniform(-1.0, 1.0, size=(20_000, 3))
-        block_bytes = 8 * trainer._PREDICT_BLOCK_ENTRIES
+        block_bytes = 8 * kernels._PREDICT_BLOCK_ENTRIES
         tracemalloc.start()
         try:
             f = model.decision_function(X)
