@@ -206,14 +206,15 @@ def load_manifest(path) -> list[ManifestEntry]:
     entries = []
     with open_text(path) as fh:
         reader = csv.reader(fh)
-        rows = [r for r in reader if r and any(f.strip() for f in r)]
+        rows = [(reader.line_num, [f.strip() for f in r]) for r in reader]
+    rows = [(lineno, r) for lineno, r in rows if any(r)]
     # An empty (or header-only) manifest is a valid zero-dataset corpus.
-    if rows and rows[0][:2] == ["name", "path"]:
+    if rows and rows[0][1][:2] == ["name", "path"]:
         rows = rows[1:]
-    for lineno, r in enumerate(rows, 1):
+    for lineno, r in rows:
         if len(r) != 5:
             raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(r)}")
-        name, rel, fmt, n_train_s, seed_s = (f.strip() for f in r)
+        name, rel, fmt, n_train_s, seed_s = r
         try:
             n_train = int(n_train_s)
         except ValueError as exc:

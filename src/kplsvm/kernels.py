@@ -7,16 +7,16 @@ exponent, exp(-||x-y|| / (2 q^2)).  ``train`` takes either (``kplsvm
 train --rbf-form``) and the model file records it; the grid search,
 replay and ``bench`` always use the default.
 
-An RBF block of two sets, ``cross_gram`` and ``cross_gram_dot`` (a
+Every RBF block, ``gram``, ``cross_gram`` and ``cross_gram_dot`` (a
 model's scores), is one matrix product of augmented factors,
 
     P = [s a, t ||a||^2, 1],   Q = [b, 1, t ||b||^2],
 
 with s = 1/q^2, t = -1/(2 q^2) for ``squared-distance``, whose product
 is the exponent itself, and s = -2, t = 1 for ``plain-distance``, whose
-product is ||a-b||^2.  ``gram`` of one set forms its product as one
-symmetric rank-k update and adds the squared norms symmetrically
-instead, so the training Gram matrix is exactly symmetric.
+product is ||a-b||^2.  ``gram`` of one set then gives both entries of
+each pair their smaller value, so the training Gram matrix is exactly
+symmetric, and sets its diagonal to k(x, x) = 1.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "KernelSpec",
     "KERNEL_KINDS",
     "RBF_FORMS",
-    "kernel_value",
     "gram",
     "cross_gram",
     "cross_gram_dot",
@@ -63,28 +62,20 @@ class KernelSpec:
 _PREDICT_BLOCK_ENTRIES = 1 << 18
 
 
-def kernel_value(spec: KernelSpec, x, y) -> float:
-    """k(x, y) for single vectors."""
-    return float(cross_gram(spec, x, y)[0, 0])
-
-
 def gram(spec: KernelSpec, X) -> np.ndarray:
     """Gram matrix of one sample set, which passes ``data.as_rows``.
 
-    It is exactly symmetric: the product X X' is formed as one
-    symmetric rank-k update, and the RBF forms add the squared norms
-    symmetrically.
+    It is exactly symmetric: numpy forms X X' as one symmetric rank-k
+    update, and an RBF matrix takes the smaller entry of each pair and a
+    unit diagonal.
     """
     X = as_rows(X)
     if spec.kind == "linear":
         return X @ X.T
-    # in place, in the same order of operations as the textbook formula
-    norms = np.sum(X * X, axis=1)
-    sq = norms[:, None] + norms[None, :]
-    XX = X @ X.T
-    XX *= 2.0
-    sq -= XX
-    return _from_squared_distance(spec, sq)
+    G = _rbf(spec, _factor(spec, X) @ _factor(spec, X, support=True).T)
+    np.minimum(G, G.T, out=G)
+    np.fill_diagonal(G, 1.0)
+    return G
 
 
 def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
@@ -137,17 +128,12 @@ def _factor(spec: KernelSpec, X: np.ndarray, support: bool = False):
 
 def _rbf(spec: KernelSpec, E: np.ndarray) -> np.ndarray:
     """The RBF block from the factor product E, in place: the exponent,
-    clipped at 0 from above, or the squared distance."""
-    if spec.rbf_form == "plain-distance":
-        return _from_squared_distance(spec, E)
-    np.minimum(E, 0.0, out=E)
+    clipped at 0 from above, or the squared distance, clipped at 0 from
+    below, then square-rooted and scaled."""
+    if spec.rbf_form == "squared-distance":
+        np.minimum(E, 0.0, out=E)
+    else:
+        np.maximum(E, 0.0, out=E)
+        np.sqrt(E, out=E)
+        E /= -(2.0 * spec.q * spec.q)  # equals (-E) / (2 q^2) bit for bit
     return np.exp(E, out=E)
-
-
-def _from_squared_distance(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
-    """The RBF block from squared distances, in place, clipped at 0."""
-    np.maximum(sq, 0.0, out=sq)
-    if spec.rbf_form == "plain-distance":
-        np.sqrt(sq, out=sq)
-    sq /= -(2.0 * spec.q * spec.q)     # equals (-sq) / (2 q^2) bit for bit
-    return np.exp(sq, out=sq)

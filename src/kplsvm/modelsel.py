@@ -363,7 +363,8 @@ def _load_replay_table(path):
         need = {"dataset", "family", "c0", "q", *_SLOTS}
         if reader.fieldnames is None or not need <= set(reader.fieldnames):
             raise DataError(f"{path}: replay table needs columns {sorted(need)}")
-        for lineno, row in enumerate(reader, 2):
+        for row in reader:
+            lineno = reader.line_num
             fam = row["family"].strip()
             if fam not in FAMILY_PARAMS:
                 raise DataError(f"{path}:{lineno}: unknown family {fam!r}")

@@ -454,8 +454,22 @@ class TestCorpus:
                            ("a,b.csv,csv,10,x", "bad seed"),
                            ("a,b.csv,csv,10", "expected 5 fields, got 4")]:
             p.write_text(f"name,path,format,n_train,seed\n{row}\n")
-            with pytest.raises(DataError, match=f":1: {match}"):
+            with pytest.raises(DataError, match=f":2: {match}"):
                 datasets.load_manifest(p)
+
+    def test_manifest_errors_name_the_file_line(self, tmp_path):
+        # the header and blank lines count: this bad row is line 3
+        p = tmp_path / "man.csv"
+        p.write_text("name,path,format,n_train,seed\n\na,b.csv,csv,x,\n")
+        with pytest.raises(DataError, match=r"man\.csv:3: bad n_train"):
+            datasets.load_manifest(p)
+
+    def test_manifest_header_fields_are_stripped(self, tmp_path):
+        # as data fields are: a spaced header is a header, not a data row
+        p = tmp_path / "man.csv"
+        p.write_text("name, path, format, n_train, seed\na, b.csv, csv, 10, 2\n")
+        assert datasets.load_manifest(p) == [
+            datasets.ManifestEntry("a", "b.csv", "csv", 10, 2)]
 
     def test_split_indices_validated(self):
         X = np.zeros((4, 1))

@@ -9,7 +9,7 @@ from kplsvm.errors import DataError
 
 def test_linear_dot_product():
     spec = kernels.KernelSpec(kind="linear")
-    assert kernels.kernel_value(spec, [1.0, 2.0], [3.0, 4.0]) == 11.0
+    assert kernels.cross_gram(spec, [1.0, 2.0], [3.0, 4.0]).tolist() == [[11.0]]
 
 
 def test_rbf_default_form_is_squared_distance():
@@ -18,22 +18,27 @@ def test_rbf_default_form_is_squared_distance():
 
 def test_rbf_squared_distance_value():
     spec = kernels.KernelSpec(kind="rbf", q=1.0)
-    got = kernels.kernel_value(spec, [1.0, 2.0], [3.0, 4.0])
+    got = kernels.cross_gram(spec, [1.0, 2.0], [3.0, 4.0])[0, 0]
     assert got == pytest.approx(math.exp(-4.0), rel=1e-12)
 
 
 def test_rbf_plain_distance_value():
     spec = kernels.KernelSpec(kind="rbf", q=1.0, rbf_form="plain-distance")
-    got = kernels.kernel_value(spec, [1.0, 2.0], [3.0, 4.0])
+    got = kernels.cross_gram(spec, [1.0, 2.0], [3.0, 4.0])[0, 0]
     assert got == pytest.approx(math.exp(-math.sqrt(8.0) / 2.0), rel=1e-12)
 
 
 def test_rbf_diagonal_is_one():
-    rng = np.random.default_rng(1)
-    X = rng.normal(size=(7, 3))
+    # k(x, x) = exp(0) exactly, at every width: through the square root,
+    # a few ulps of a rounded ||x - x||^2 once made the plain form's
+    # diagonal miss 1 by 1e-3 at q = 2^-7 on 60 features
+    X = np.random.default_rng(1).uniform(-1.0, 1.0, size=(100, 60))
     for form in kernels.RBF_FORMS:
-        G = kernels.gram(kernels.KernelSpec(kind="rbf", q=0.7, rbf_form=form), X)
-        np.testing.assert_allclose(np.diag(G), 1.0, atol=1e-14)
+        for j in range(-7, 8):
+            spec = kernels.KernelSpec(kind="rbf", q=2.0 ** j, rbf_form=form)
+            G = kernels.gram(spec, X)
+            np.testing.assert_array_equal(np.diag(G), 1.0)
+            np.testing.assert_array_equal(G, G.T)
 
 
 def test_gram_symmetric_and_psd():
@@ -108,7 +113,7 @@ def test_one_d_is_one_row_and_empty_blocks_score(spec):
     assert kernels.gram(spec, A[0]).shape == (1, 1)
 
 
-def test_cross_gram_consistent_with_kernel_value():
+def test_cross_gram_consistent_with_single_rows():
     rng = np.random.default_rng(3)
     A, B = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
     spec = kernels.KernelSpec(kind="rbf", q=2.0, rbf_form="plain-distance")
@@ -116,7 +121,7 @@ def test_cross_gram_consistent_with_kernel_value():
     for i in range(4):
         for j in range(5):
             assert G[i, j] == pytest.approx(
-                kernels.kernel_value(spec, A[i], B[j]), rel=1e-12)
+                kernels.cross_gram(spec, A[i], B[j])[0, 0], rel=1e-12)
 
 
 def test_rejects_bad_configs():
@@ -153,37 +158,44 @@ def test_linear_width_may_be_nonpositive():
     assert kernels.KernelSpec(kind="linear", q=-1.0).q == -1.0
 
 
+def _matches_direct_reference(got, A, B, q, form):
+    """Every entry of the RBF block ``got`` of (A, B) against
+    exp(-sum (a-b)^2 / (2 q^2)) (or its unsquared form) from the
+    differences themselves.  The factor product rounds at eps times the
+    norms, so the bound on the exponent scales with them, and through the
+    square root for the plain form; exp itself rounds too."""
+    d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+    eps = np.finfo(float).eps
+    err_d2 = 64 * eps * np.add.outer((A * A).sum(axis=1), (B * B).sum(axis=1))
+    if form == "squared-distance":
+        exponent, err = d2, err_d2
+    else:
+        exponent = np.sqrt(d2)
+        err = np.minimum(np.sqrt(err_d2),
+                         err_d2 / np.maximum(exponent, 1e-300))
+    with np.errstate(under="ignore"):
+        want = np.exp(-exponent / (2.0 * q * q))
+    err = err / (2.0 * q * q)
+    bound = (np.expm1(err) + 4 * eps) * np.maximum(got, want) + 1e-300
+    return (np.abs(got - want) <= bound).all()
+
+
 @pytest.mark.parametrize("form", kernels.RBF_FORMS)
 def test_factor_block_matches_direct_reference(form):
-    # one product of augmented factors against exp(-sum (a-b)^2 / (2 q^2))
-    # (or its unsquared form) from the differences themselves; the product
-    # rounds at eps times the norms, so the bound on the exponent scales
-    # with them, and through the square root for the plain form
+    # cross_gram, and gram of a set with exact and near copies of rows
     rng = np.random.default_rng(8)
     A = rng.uniform(-1.0, 1.0, size=(30, 5))
     B = np.vstack([rng.uniform(-1.0, 1.0, size=(20, 5)), A[:5],
                    A[5:10] + rng.normal(scale=1e-3, size=(5, 5))])
-    d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-    eps = np.finfo(float).eps
-    err_d2 = 64 * eps * np.add.outer((A * A).sum(axis=1),
-                                                     (B * B).sum(axis=1))
+    AB = np.vstack([A, B])
     for j in range(-7, 8):
         q = 2.0 ** j
         spec = kernels.KernelSpec("rbf", q=q, rbf_form=form)
-        if form == "squared-distance":
-            exponent, err = d2, err_d2
-        else:
-            exponent = np.sqrt(d2)
-            err = np.minimum(np.sqrt(err_d2),
-                             err_d2 / np.maximum(exponent, 1e-300))
-        with np.errstate(under="ignore"):
-            want = np.exp(-exponent / (2.0 * q * q))
-        err = err / (2.0 * q * q)
         got = kernels.cross_gram(spec, A, B)
         assert (got <= 1.0).all()
-        # and exp itself rounds, in both
-        bound = (np.expm1(err) + 4 * eps) * np.maximum(got, want) + 1e-300
-        assert (np.abs(got - want) <= bound).all(), q
+        assert _matches_direct_reference(got, A, B, q, form), q
+        assert _matches_direct_reference(kernels.gram(spec, AB), AB, AB,
+                                         q, form), q
 
 
 @pytest.mark.parametrize("form", kernels.RBF_FORMS)

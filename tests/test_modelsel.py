@@ -591,6 +591,14 @@ class TestBenchmarkRun:
         with pytest.raises(DataError, match=r":3: bad number"):
             modelsel._load_replay_table(rp4)
 
+    def test_replay_table_errors_name_the_file_line(self, tmp_path):
+        # the header and blank lines count: this bad row is line 3
+        rp = tmp_path / "rep.csv"
+        rp.write_text("dataset,family,c0,q,tau1,tau2,eps1,eps2\n\n"
+                      "monk3,quartic,1,,,,,\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"rep\.csv:3: unknown family"):
+            modelsel._load_replay_table(rp)
+
     def test_replay_records_failed_rows_and_goes_on(self, tmp_path):
         rp = tmp_path / "replay.csv"
         rp.write_text(

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import io
+import os
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -17,6 +19,13 @@ from kplsvm.errors import DataError, TrainingError
 from kplsvm.kernels import KernelSpec
 from kplsvm.loss import LossSpec
 from kplsvm.trainer import TrainParams, train
+
+# perfbench's certificate shares no code with kplsvm
+_spec = importlib.util.spec_from_file_location(
+    "certify", os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "certify.py"))
+certify = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(certify)
 
 
 def blob_pair(seed=3, n_per=8, gap=2.0):
@@ -393,6 +402,21 @@ class TestSolverStatus:
                 missed.append((cell, m.diagnostics["kkt_report"]))
         assert failed == []
         assert missed == []
+
+    def test_narrow_plain_rbf_cell_certifies_independently(self, standin):
+        # the Gram diagonal once missed k(x, x) = 1 by 6e-5 at this width,
+        # through the square root of a rounded ||x - x||^2: the model met
+        # its own bounds, but the certificate's gap read 9.8e-4
+        ds = standin("sonar")
+        tr, _ = ds.split
+        params = TrainParams(loss=LossSpec((-0.4, 0.4), (0.5, -1.0)),
+                             c0=16.0, kernel=KernelSpec(
+                                 "rbf", q=2.0 ** -5, rbf_form="plain-distance"))
+        m = train(ds.X[tr], ds.y[tr], params)
+        assert m.diagnostics["kkt_max_residual"] <= 1e-6
+        assert m.diagnostics["duality_gap_rel"] <= 1e-5
+        cert = certify.certificate(m, ds.X[tr], ds.y[tr], params.c0)
+        assert certify.certified(cert), cert
 
 
 class TestFactorChoice:
